@@ -25,6 +25,8 @@ final case class LovoConfig(
     pqSubdim: Int = 8,
     pqCentroids: Int = 32,
     kmeansIters: Int = 8,
+    // no longer affects the search (Algorithm 1's line-6 product set is
+    // not applied); kept only because lovobench/Replay.scala passes it
     topA: Int = 4,
     rescoreFactor: Int = 20,
     scanFraction: Double = 0.35,

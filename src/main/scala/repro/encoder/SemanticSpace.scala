@@ -113,10 +113,4 @@ object SemanticSpace {
 
   /** Noise-free text-side embedding of a token set (aligned encoder). */
   def embedText(tokens: Seq[String]): Array[Float] = embedTokens(tokens, 0L, 0.0)
-
-  /** Fine-grained projected embedding of a single token with noise —
-    * the rerank stage's per-token image features (σ_fine << σ_vis).
-    */
-  def fineTokenEmbedding(token: String, noiseKey: Long, sigma: Double): Array[Float] =
-    embedTokens(Seq(token), Rng.mix(noiseKey, Rng.hashString(token)), sigma)
 }

@@ -44,10 +44,6 @@ object Vocab {
     "red", "white", "black", "green", "blue", "grey", "yellow",
     "silver", "light_colored", "dark", "yellow_green")
 
-  val Contexts: IndexedSeq[String] = IndexedSeq(
-    "road", "street", "intersection", "sidewalk", "beach", "indoor",
-    "room", "meadow", "outdoors")
-
   /** Nominal pixel size (w, h) per class on the 256x192 canvas. */
   def nominalSize(cls: String): (Double, Double) = cls match {
     case "person" | "woman" | "man" => (14.0, 30.0)

@@ -12,8 +12,8 @@ import repro.rerank.RerankResult
   * anchored once, globally, to the paper's published per-unit figures —
   * 0.08 s/keyframe summary (Fig 11a), ~1e-4 s/entity-scale fast search
   * (Fig 11c), ~1 s/keyframe-scale rerank (Fig 11d) — and never tuned
-  * per table. Measured Spark wall-clock is reported alongside in
-  * EXPERIMENTS.md for transparency.
+  * per table. Measured wall-clock per stage is reported by the separate
+  * `lovobench/` benchmark, beside these modeled seconds.
   */
 object CostModel {
 

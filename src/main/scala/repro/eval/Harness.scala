@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.encoder.TextEncoder
 import repro.index.HnswIndex
-import repro.rerank.CrossModalRerank
 import repro.video.{DatasetConfig, Datasets}
 
 /** A dataset prepared for evaluation: generated video, built LOVO index,
@@ -26,20 +25,16 @@ final class Bundle(
       q.id -> Metrics.groundTruth(build.frames, TextEncoder.parse(q.text).tokens)
     }.toMap
 
-  private var hnswCache: Option[(HnswIndex, Long)] = None
-
-  /** The HNSW graph plus its build-time distance-computation count. */
-  def hnsw: (HnswIndex, Long) = synchronized {
-    hnswCache.getOrElse {
-      val g = Lovo.buildHnsw(build)
-      val pair = (g, g.distComps)
-      hnswCache = Some(pair)
-      pair
-    }
+  /** The HNSW graph plus its build-time distance-computation count
+    * (taken before any search adds to the graph's running `distComps`).
+    */
+  lazy val hnsw: (HnswIndex, Long) = {
+    val g = Lovo.buildHnsw(build)
+    (g, g.distComps)
   }
 }
 
-/** One LOVO query execution with accuracy + modeled and measured latency. */
+/** One LOVO query execution with accuracy + modeled latency. */
 final case class LovoRun(
     queryId: String,
     variant: AnnVariant,
@@ -51,9 +46,7 @@ final case class LovoRun(
     rerankSec: Double,
     processingSec: Double,
     indexingSec: Double,
-    framesReranked: Int,
-    wallFastSec: Double,
-    wallRerankSec: Double) {
+    framesReranked: Int) {
   def searchSec: Double = fastSec + rerankSec
   def totalSec: Double = processingSec + indexingSec + searchSec
 }
@@ -81,27 +74,12 @@ object Harness {
     val k = math.min(b.lcfg.retrievalMultiplier.toLong * spec.nPos, b.build.counts.entries)
       .toInt.max(1)
 
-    val (hnswOpt, hnswBuildComps) = variant match {
-      case AnnVariant.Hnsw => val (g, c) = b.hnsw; (Some(g), c)
-      case _               => (None, 0L)
-    }
-
-    val t0 = System.nanoTime()
-    val (cands, stats) = Lovo.fastSearch(b.build, parsed, k, variant, hnswOpt)
-    val t1 = System.nanoTime()
-
-    val (detections, rerankSec, framesReranked, t2) =
-      if (!useRerank) {
-        (cands.map(c => Detection(c.frameId, c.score, c.box)), 0.0, 0, t1)
-      } else {
-        val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
-        val rr = CrossModalRerank.rerank(b.build.frames, frameOrder, parsed, b.lcfg.rerank)
-        val dets = rr.objects.take(k).map(o => Detection(o.frameId, o.score, o.box))
-        (dets, CostModel.rerank(rr), rr.framesProcessed, System.nanoTime())
-      }
+    val hnswOpt = if (variant == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+    val r = Lovo.query(b.build, parsed, k, variant, useRerank, hnswOpt)
 
     val gt = b.gt(queryId)
-    val avep = Metrics.averagePrecision(detections, gt)
+    val avep = Metrics.averagePrecision(
+      r.candidates.map(c => Detection(c.frameId, c.score, c.box)), gt)
 
     val c = b.build.counts
     val indexingSec = variant match {
@@ -109,7 +87,7 @@ object Harness {
         CostModel.indexingIvfPq(c.entries, c.kmeansIters,
           b.lcfg.pqSubspaces, b.lcfg.pqCentroids, b.lcfg.pqSubdim)
       case AnnVariant.Bf   => CostModel.indexingBf
-      case AnnVariant.Hnsw => CostModel.indexingHnsw(hnswBuildComps)
+      case AnnVariant.Hnsw => CostModel.indexingHnsw(b.hnsw._2)
     }
 
     LovoRun(
@@ -119,13 +97,11 @@ object Harness {
       avep = avep,
       gtCount = gt.size,
       k = k,
-      fastSec = CostModel.fastSearch(stats),
-      rerankSec = rerankSec,
+      fastSec = CostModel.fastSearch(r.fastStats),
+      rerankSec = r.rerank.fold(0.0)(CostModel.rerank),
       processingSec = CostModel.processing(c.rawFrames, c.keyFrames),
       indexingSec = indexingSec,
-      framesReranked = framesReranked,
-      wallFastSec = (t1 - t0) / 1e9,
-      wallRerankSec = (t2 - t1) / 1e9)
+      framesReranked = r.rerank.fold(0)(_.framesProcessed))
   }
 
   /** One baseline execution with accuracy + modeled latency. */

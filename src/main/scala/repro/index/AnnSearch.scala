@@ -22,16 +22,21 @@ final case class AnnStats(
   * 2. Rank the populated cells of the driver-side directory by their
   *    summed LUT score and visit them best-first (the multi-sequence
   *    order) until an nprobe-style fraction of the collection is covered.
-  *    The top-A product set of line 6 is computed for diagnostics, but is
-  *    deliberately not a hard filter (see the inline note).
+  *    The top-A product set of line 6 is not applied (see the inline note).
   * 3. Join the selected cell ids against the distributed postings, score
   *    each candidate with the LUT sum (lines 8–12).
   * 4. Exactly rescore the best max(rescoreFactor * k, scanned/4)
   *    candidates with the stored full vectors and return the top-k
-  *    (lines 13–17; ties broken by patch id for determinism).
+  *    (lines 13–17; ties broken by patch id for determinism). Every hit
+  *    is one stored vector with its own patch id, so line 16's patch-id
+  *    vote over per-subspace components has nothing to decide.
   */
 object AnnSearch {
 
+  /** @param topA no longer affects the search (the line-6 product set is
+    *             not applied); kept only because `lovobench/Replay.scala`
+    *             passes it.
+    */
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int,
              topA: Int = 4, rescoreFactor: Int = 20,
              scanFraction: Double = 0.35): (Seq[SearchHit], AnnStats) = {
@@ -40,33 +45,25 @@ object AnnSearch {
     val qn = VecOps.normalize(q)
     val table = pq.lut(qn)
 
-    // Top-A centroid codes per subspace (line 6).
-    val topPerSub: Array[Set[Int]] = table.map { row =>
-      row.zipWithIndex.sortBy { case (s, c) => (-s, c) }.take(topA).map(_._2).toSet
-    }
-
     // Rank populated cells by summed LUT score (multi-sequence order).
     val scoredCells = index.cellDirectory.iterator.map { case (cell, count) =>
-      val codes = pq.decodeCell(cell)
-      val inProduct = codes.zipWithIndex.forall { case (c, p) => topPerSub(p)(c) }
-      (cell, count, pq.adcScore(table, codes), inProduct)
+      (cell, count, pq.adcScore(table, pq.decodeCell(cell)))
     }.toIndexedSeq
 
     // Multi-sequence scan order: cells strictly by descending summed LUT
     // score (Babenko-Lempitsky's best-first traversal), visited until the
-    // nprobe-style budget is covered. Product-of-top-A membership is NOT a
-    // hard filter — under encoder noise a relevant cell routinely has one
+    // nprobe-style budget is covered. The top-A product set of line 6 is
+    // not applied — under encoder noise a relevant cell routinely has one
     // off-top-A code, and letting the (background-dominated) product set
-    // preempt the budget destroys recall; it is reported via `cellsScored`
-    // diagnostics only. The budget itself follows the paper's w/o-ANNS
-    // fast-search deltas (0.06 s vs 0.15 s on Cityscapes): an effective
-    // scan of ~1/8 of the stored vectors.
-    val ordered = scoredCells.sortBy { case (cell, _, s, _) => (-s, cell) }
+    // preempt the budget destroys recall. The budget itself follows the
+    // paper's w/o-ANNS fast-search deltas (0.06 s vs 0.15 s on
+    // Cityscapes): an effective scan of ~1/8 of the stored vectors.
+    val ordered = scoredCells.sortBy { case (cell, _, s) => (-s, cell) }
     val minCover = math.max(rescoreFactor.toLong * k,
       math.ceil(index.total * scanFraction).toLong)
     val selected = Vector.newBuilder[Long]
     var covered = 0L
-    for ((cell, count, _, _) <- ordered if covered < minCover) {
+    for ((cell, count, _) <- ordered if covered < minCover) {
       selected += cell; covered += count
     }
     val cellSet = selected.result()
@@ -109,16 +106,5 @@ object AnnSearch {
       candidates = covered,
       rescored = approx.length)
     (exact, stats)
-  }
-
-  /** Patch-id majority vote (paper Alg. 1 line 16): when a candidate is
-    * assembled from per-subspace components, the most frequent component
-    * patch id wins; ties break toward the smaller id.
-    */
-  def votePatchId(componentIds: Seq[Long]): Long = {
-    require(componentIds.nonEmpty, "vote requires at least one component")
-    componentIds.groupBy(identity).toSeq
-      .map { case (id, xs) => (id, xs.size) }
-      .minBy { case (id, n) => (-n, id) }._1
   }
 }

@@ -154,7 +154,18 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
       }
       lc -= 1
     }
-    searchLayer(qn, Seq(ep), math.max(ef, k), 0)
+    val found = searchLayer(qn, Seq(ep), math.max(ef, k), 0)
+    // The keep-the-closest shrink can leave a node with no in-links, which
+    // no graph walk reaches; when k asks for more nodes than the walk
+    // found, score the unreached ones exactly so k >= size returns them all.
+    val ranked =
+      if (found.size >= math.min(k, size)) found
+      else {
+        val seen = found.map(_._1).toSet
+        (found ++ (0 until size).filterNot(seen).map(n => (n, dist(n, qn))))
+          .sortBy { case (n, d) => (d, n) }
+      }
+    ranked
       .take(k)
       .map { case (n, d) => SearchHit(ids(n), frameIds(n), -d) }
   }

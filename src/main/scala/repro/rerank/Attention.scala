@@ -4,10 +4,10 @@ import repro.util.VecOps
 
 /** Scaled dot-product attention primitives (paper §VI-B).
   *
-  * The cross-modality feature enhancer runs image-to-text attention
-  * (Q from image tokens, K/V from text tokens) and text-to-image
-  * attention symmetrically, each with a residual connection — the
-  * Grounding-DINO-style fusion LOVO's rerank uses.
+  * The paper's Grounding-DINO-style feature enhancer fuses the modalities
+  * with cross-attention. The rerank uses the image-to-text direction only
+  * (Q from image tokens, K/V from text tokens) and adds its damped
+  * residual in [[CrossModalRerank.rerankFrame]].
   */
 object Attention {
 
@@ -42,18 +42,5 @@ object Attention {
       }
       out
     }
-  }
-
-  /** One bidirectional cross-attention block with residual + renorm:
-    * X_I' = norm(X_I + Attn(X_I, X_T, X_T)),
-    * X_T' = norm(X_T + Attn(X_T, X_I, X_I)).
-    */
-  def enhance(xi: Array[Array[Float]], xt: Array[Array[Float]])
-      : (Array[Array[Float]], Array[Array[Float]]) = {
-    val i2t = attend(xi, xt, xt)
-    val t2i = attend(xt, xi, xi)
-    val xiOut = xi.zip(i2t).map { case (a, b) => VecOps.normalize(VecOps.add(a, b)) }
-    val xtOut = xt.zip(t2i).map { case (a, b) => VecOps.normalize(VecOps.add(a, b)) }
-    (xiOut, xtOut)
   }
 }

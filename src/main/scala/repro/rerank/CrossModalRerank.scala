@@ -27,8 +27,8 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * The top-k frames from fast search are re-processed from the raw video
   * (here: the frame's full object population) with fine-grained per-object
   * features and the *complete* query token set — including the relation /
-  * verb / positional tokens that fast search dropped. A bidirectional
-  * cross-attention block fuses the modalities; the frame score l_s is the
+  * verb / positional tokens that fast search dropped. An image-to-text
+  * cross-attention layer fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
   * box per object. Runs as a Spark map over the candidate frames.
   */

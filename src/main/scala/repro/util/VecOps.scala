@@ -46,12 +46,6 @@ object VecOps {
     out
   }
 
-  /** In-place a += b (accumulator pattern for k-means sums). */
-  def addInPlace(a: Array[Double], b: Array[Float]): Unit = {
-    require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")
-    var i = 0; while (i < a.length) { a(i) += b(i); i += 1 }
-  }
-
   /** Slice p-th m-dim subvector out of a P*m vector. */
   def subvector(a: Array[Float], p: Int, m: Int): Array[Float] = {
     val out = new Array[Float](m)

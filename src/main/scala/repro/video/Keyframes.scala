@@ -27,12 +27,4 @@ object Keyframes {
       .drop("prevMotion")
       .as[FrameRec]
   }
-
-  /** Keyframes only — the summarizer's input. */
-  def keyframesOnly(frames: Dataset[FrameRec],
-                    threshold: Double = Scene.MotionThreshold): Dataset[FrameRec] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    select(frames, threshold).filter($"isKey")
-  }
 }

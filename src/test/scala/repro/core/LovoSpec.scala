@@ -96,6 +96,21 @@ class LovoSpec extends SparkSpec {
     }
   }
 
+  test("unknown-token, empty and k >= entries queries degrade gracefully on every variant") {
+    val n = build.counts.entries
+    val q11 = Workloads.byId("Q1.1").text
+    val cases = Seq(("zzz", 20L), ("", 20L), ("zzz", n + 10), (q11, n), (q11, n + 10))
+    for ((text, k) <- cases; v <- AnnVariant.all) {
+      val parsed = TextEncoder.parse(text)
+      val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val label = s"${AnnVariant.name(v)} '$text' k=$k"
+      val nHits = Lovo.fastSearch(build, parsed, k.toInt, v, hnsw)._1.size
+      assert(nHits == math.min(k, n), label)
+      val nCands = Lovo.query(build, parsed, k.toInt, v, hnsw = hnsw).candidates.size
+      assert(nCands <= k, label)
+    }
+  }
+
   test("queries are deterministic end to end") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
     val a = Lovo.query(build, parsed, k = 40)

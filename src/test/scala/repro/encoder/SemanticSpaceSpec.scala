@@ -83,11 +83,4 @@ class SemanticSpaceSpec extends AnyFunSuite {
     assert(lo > hi, s"sigma=0.15 -> $lo should beat sigma=0.9 -> $hi")
     assert(meanSim(0.0) > 0.999)
   }
-
-  test("fineTokenEmbedding differs across tokens for the same object") {
-    val a = fineTokenEmbedding("cls:car", 5L, 0.3)
-    val b = fineTokenEmbedding("col:red", 5L, 0.3)
-    assert(!a.sameElements(b))
-    assert(a.length == Dp)
-  }
 }

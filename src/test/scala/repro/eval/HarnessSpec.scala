@@ -1,7 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.AnnVariant
+import repro.core.{AnnVariant, Lovo}
+import repro.encoder.TextEncoder
 import repro.testkit.Fixtures
 
 class HarnessSpec extends SparkSpec {
@@ -30,7 +31,20 @@ class HarnessSpec extends SparkSpec {
     assert(r.searchSec == r.fastSec + r.rerankSec)
     assert(math.abs(r.totalSec - (r.processingSec + r.indexingSec + r.searchSec)) < 1e-12)
     assert(r.framesReranked > 0)
-    assert(r.wallFastSec > 0 && r.wallRerankSec > 0)
+  }
+
+  test("runLovo scores exactly what Lovo.query answers, for every variant") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.1").text)
+    for (v <- AnnVariant.all; useRerank <- Seq(true, false)) {
+      val run = Harness.runLovo(b, "Q1.1", v, useRerank)
+      val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val res = Lovo.query(b.build, parsed, run.k, v, useRerank, hnsw)
+      val dets = res.candidates.map(c => Detection(c.frameId, c.score, c.box))
+      val label = s"${AnnVariant.name(v)} rerank=$useRerank"
+      assert(run.avep == Metrics.averagePrecision(dets, b.gt("Q1.1")), label)
+      assert(run.framesReranked == res.rerank.fold(0)(_.framesProcessed), label)
+      assert(run.fastSec == CostModel.fastSearch(res.fastStats), label)
+    }
   }
 
   test("w/o rerank runs report zero rerank cost") {

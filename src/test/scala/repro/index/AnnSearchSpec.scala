@@ -86,17 +86,4 @@ class AnnSearchSpec extends SparkSpec {
       AnnSearch.search(index, Fixtures.clusterCentre(nClusters, dim, 0), k = 0)
     }
   }
-
-  test("votePatchId picks the most frequent component id") {
-    assert(AnnSearch.votePatchId(Seq(7L, 7L, 3L, 7L)) == 7L)
-    assert(AnnSearch.votePatchId(Seq(1L)) == 1L)
-  }
-
-  test("votePatchId breaks ties toward the smaller id") {
-    assert(AnnSearch.votePatchId(Seq(9L, 2L, 9L, 2L)) == 2L)
-  }
-
-  test("votePatchId rejects empty input") {
-    intercept[IllegalArgumentException] { AnnSearch.votePatchId(Seq.empty) }
-  }
 }

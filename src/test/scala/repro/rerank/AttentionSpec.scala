@@ -3,7 +3,6 @@ package repro.rerank
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.PropertyChecks
-import repro.util.VecOps
 
 class AttentionSpec extends AnyFunSuite with PropertyChecks {
 
@@ -76,22 +75,5 @@ class AttentionSpec extends AnyFunSuite with PropertyChecks {
     intercept[IllegalArgumentException] {
       Attention.attend(Array(Array(1f)), Array(Array(1f)), Array.empty)
     }
-  }
-
-  test("enhance returns unit-normalized rows of the original shapes") {
-    val xi = Array(Array(1f, 0f, 0f, 0f), Array(0f, 1f, 0f, 0f))
-    val xt = Array(Array(0f, 0f, 1f, 0f))
-    val (xiE, xtE) = Attention.enhance(xi, xt)
-    assert(xiE.length == 2 && xtE.length == 1)
-    assert(xiE.forall(r => math.abs(VecOps.norm(r) - 1.0) < 1e-5))
-    assert(xtE.forall(r => math.abs(VecOps.norm(r) - 1.0) < 1e-5))
-  }
-
-  test("enhance pulls image tokens toward attended text content") {
-    val xi = Array(Array(1f, 0f, 0f, 0f))
-    val xt = Array(Array(0f, 1f, 0f, 0f))
-    val (xiE, _) = Attention.enhance(xi, xt)
-    // the enhanced image token now carries text-direction mass
-    assert(xiE(0)(1) > 0.1f)
   }
 }

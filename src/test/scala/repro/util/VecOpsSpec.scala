@@ -78,12 +78,6 @@ class VecOpsSpec extends AnyFunSuite with PropertyChecks {
     assert(VecOps.scale(Array(1f, -2f), 2.0).sameElements(Array(2f, -4f)))
   }
 
-  test("addInPlace accumulates into a double buffer") {
-    val acc = Array(1.0, 1.0)
-    VecOps.addInPlace(acc, Array(2f, 3f))
-    assert(acc.sameElements(Array(3.0, 4.0)))
-  }
-
   test("subvector slices the p-th m-block") {
     val v = Array(0f, 1f, 2f, 3f, 4f, 5f)
     assert(VecOps.subvector(v, 0, 2).sameElements(Array(0f, 1f)))

@@ -17,7 +17,7 @@ class KeyframesSpec extends SparkSpec {
   }
 
   test("keyframe ratio is ~1/keyPeriod") {
-    val n = Keyframes.keyframesOnly(frames).count()
+    val n = Keyframes.select(frames).filter(_.isKey).count()
     val total = frames.count()
     val ratio = n.toDouble / total
     assert(math.abs(ratio - 1.0 / cfg.keyPeriod) < 0.02, s"ratio=$ratio")
@@ -51,13 +51,9 @@ class KeyframesSpec extends SparkSpec {
     assert(Keyframes.select(frames).count() == frames.count())
   }
 
-  test("keyframesOnly returns only flagged frames") {
-    assert(Keyframes.keyframesOnly(frames).collect().forall(_.isKey))
-  }
-
   test("a higher threshold yields fewer keyframes") {
-    val low = Keyframes.keyframesOnly(frames, 0.3).count()
-    val high = Keyframes.keyframesOnly(frames, 0.95).count()
+    val low = Keyframes.select(frames, 0.3).filter(_.isKey).count()
+    val high = Keyframes.select(frames, 0.95).filter(_.isKey).count()
     assert(high <= low)
   }
 }
