@@ -70,7 +70,7 @@ object Lovo {
 
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
     * phrases to a single query vector, search the chosen index variant,
-    * resolve boxes through the relational metadata join.
+    * resolve boxes through the relational metadata lookup.
     */
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,

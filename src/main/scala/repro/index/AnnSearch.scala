@@ -1,9 +1,8 @@
 package repro.index
 
-import org.apache.spark.sql.functions.col
 import repro.util.VecOps
 
-/** A raw vector-database hit (before the metadata join). */
+/** A raw vector-database hit (before the metadata lookup). */
 final case class SearchHit(patchId: Long, frameId: Long, score: Double)
 
 /** Operation counts of one search — the cost model's inputs. */
@@ -14,8 +13,11 @@ final case class AnnStats(
     candidates: Long,     // vectors ADC-scored (postings scanned)
     rescored: Long)       // vectors exactly rescored
 
+/** One posting of the selected cells with its ADC and exact scores. */
+private[index] final case class ScoredPosting(patchId: Long, frameId: Long, adc: Double, exact: Double)
+
 /** Approximate nearest-neighbor search over the inverted multi-index —
-  * the paper's Algorithm 1 as a driver-planned distributed lookup/join.
+  * the paper's Algorithm 1 as a driver-planned distributed lookup.
   *
   * 1. Partition the (unit-normalized) query into P subvectors; build the
   *    ADC lookup table q_p · centroid (lines 1–5).
@@ -23,13 +25,14 @@ final case class AnnStats(
   *    summed LUT score and visit them best-first (the multi-sequence
   *    order) until an nprobe-style fraction of the collection is covered.
   *    The top-A product set of line 6 is not applied (see the inline note).
-  * 3. Join the selected cell ids against the distributed postings, score
-  *    each candidate with the LUT sum (lines 8–12).
-  * 4. Exactly rescore the best max(rescoreFactor * k, scanned/4)
-  *    candidates with the stored full vectors and return the top-k
-  *    (lines 13–17; ties broken by patch id for determinism). Every hit
-  *    is one stored vector with its own patch id, so line 16's patch-id
-  *    vote over per-subspace components has nothing to decide.
+  * 3. One narrow Spark pass over the cached postings keeps the entries of
+  *    the selected cells and scores each with the LUT sum (lines 8–12) and
+  *    the exact inner product; no shuffle, one task per core.
+  * 4. On the driver, keep the best max(rescoreFactor * k, scanned/4)
+  *    candidates by ADC score, then return the top-k of those by exact
+  *    score (lines 13–17; ties broken by patch id for determinism). Every
+  *    hit is one stored vector with its own patch id, so line 16's
+  *    patch-id vote over per-subspace components has nothing to decide.
   */
 object AnnSearch {
 
@@ -45,10 +48,10 @@ object AnnSearch {
     val qn = VecOps.normalize(q)
     val table = pq.lut(qn)
 
-    // Rank populated cells by summed LUT score (multi-sequence order).
-    val scoredCells = index.cellDirectory.iterator.map { case (cell, count) =>
-      (cell, count, pq.adcScore(table, pq.decodeCell(cell)))
-    }.toIndexedSeq
+    // Summed LUT score of every populated cell, on the primitive directory.
+    val cellIds = index.cellIds
+    val counts = index.cellCounts
+    val cellScores = index.cellCodes.map(pq.adcScore(table, _))
 
     // Multi-sequence scan order: cells strictly by descending summed LUT
     // score (Babenko-Lempitsky's best-first traversal), visited until the
@@ -58,53 +61,81 @@ object AnnSearch {
     // preempt the budget destroys recall. The budget itself follows the
     // paper's w/o-ANNS fast-search deltas (0.06 s vs 0.15 s on
     // Cityscapes): an effective scan of ~1/8 of the stored vectors.
-    val ordered = scoredCells.sortBy { case (cell, _, s) => (-s, cell) }
+    val ordered = bestFirst(cellScores, cellIds)
     val minCover = math.max(rescoreFactor.toLong * k,
       math.ceil(index.total * scanFraction).toLong)
-    val selected = Vector.newBuilder[Long]
     var covered = 0L
-    for ((cell, count, _) <- ordered if covered < minCover) {
-      selected += cell; covered += count
+    var nSelected = 0
+    while (nSelected < ordered.length && covered < minCover) {
+      covered += counts(ordered(nSelected))
+      nSelected += 1
     }
-    val cellSet = selected.result()
+    val selected = ordered.take(nSelected).map(c => cellIds(c))
+    java.util.Arrays.sort(selected)
 
-    // Distributed posting fetch: join selected cells against the index.
-    val spark = index.entries.sparkSession
-    import spark.implicits._
-    val cellsDf = spark.createDataset(cellSet).toDF("cellId")
-    val fetched = index.entries.join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
-
-    // ADC scoring of candidates (cheap LUT sum). The exact-rescore depth
-    // scales with the scan (ADC ordering is a weak ranker on near-parallel
-    // embeddings, so a fixed multiple of k would starve recall as the
-    // collection grows).
-    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
-    val tableB = table
-    val approx = fetched
-      .map(e => (e.patchId, e.frameId, {
-        var s = 0.0; var p = 0
-        while (p < tableB.length) { s += tableB(p)(e.codes(p)); p += 1 }
-        s
-      }, e.emb))
-      .toDF("patchId", "frameId", "approxScore", "emb")
-      .orderBy(col("approxScore").desc, col("patchId"))
-      .limit(rescoreDepth)
-      .as[(Long, Long, Double, Array[Float])]
+    // One pass over the cached postings: keep the selected cells' entries
+    // and score each by ADC (cheap LUT sum) and exactly (lines 8–15). The
+    // Dataset's RDD is planned once per Dataset, so a query pays no
+    // Catalyst planning.
+    val sc = index.entries.sparkSession.sparkContext
+    val scanned = index.entries.rdd
+      .coalesce(sc.defaultParallelism)
+      .mapPartitions(_.collect {
+        case e if java.util.Arrays.binarySearch(selected, e.cellId) >= 0 =>
+          ScoredPosting(e.patchId, e.frameId, pq.adcScore(table, e.codes), VecOps.dot(qn, e.emb))
+      })
       .collect()
 
-    // Exact rescoring with the stored full vectors (lines 13–15).
-    val exact = approx
-      .map { case (pid, fid, _, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb)) }
-      .sortBy(h => (-h.score, h.patchId))
+    // The exact-rescore depth scales with the scan (ADC ordering is a weak
+    // ranker on near-parallel embeddings, so a fixed multiple of k would
+    // starve recall as the collection grows).
+    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
+    val rescored = bestFirst(scanned.map(_.adc), scanned.map(_.patchId))
+      .take(rescoreDepth).map(j => scanned(j))
+    val exact = bestFirst(rescored.map(_.exact), rescored.map(_.patchId))
       .take(k)
+      .map { j => val e = rescored(j); SearchHit(e.patchId, e.frameId, e.exact) }
       .toSeq
 
     val stats = AnnStats(
       lutDots = pq.P.toLong * pq.M,
-      cellsScored = scoredCells.size,
-      cellsSelected = cellSet.size,
+      cellsScored = cellIds.length,
+      cellsSelected = selected.length,
       candidates = covered,
-      rescored = approx.length)
+      rescored = rescored.length)
     (exact, stats)
+  }
+
+  /** Positions `0 until scores.length` ordered by (score desc, id asc) —
+    * a bottom-up merge sort on primitive arrays, so ranking ~10^5 cells
+    * or candidates per query sorts no boxed keys. Scores compare as
+    * `-score` under `java.lang.Double.compare`.
+    */
+  private[index] def bestFirst(scores: Array[Double], ids: Array[Long]): Array[Int] = {
+    val n = scores.length
+    def before(a: Int, b: Int): Boolean = {
+      val c = java.lang.Double.compare(-scores(a), -scores(b))
+      c < 0 || (c == 0 && ids(a) < ids(b))
+    }
+    var src = Array.range(0, n)
+    var dst = new Array[Int](n)
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var i = lo; var j = mid; var o = lo
+        while (o < hi) {
+          if (j >= hi || (i < mid && !before(src(j), src(i)))) { dst(o) = src(i); i += 1 }
+          else { dst(o) = src(j); j += 1 }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    src
   }
 }

@@ -16,11 +16,13 @@ final case class IndexedVec(
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
   *
-  * Entries live in a Spark Dataset partitioned by cell id — the
-  * distributed analogue of per-cell posting lists. A small driver-side
-  * cell directory (cell id -> posting count) lets the query planner pick
-  * candidate cells without touching the data, so a query only scans the
-  * selected cells' postings via a join (never the full collection).
+  * Entries live in a cached Spark Dataset partitioned by cell id — the
+  * distributed analogue of per-cell posting lists. A driver-side cell
+  * directory (cell id -> posting count) lets the query planner pick
+  * candidate cells without touching the data. The postings are not
+  * addressable by cell, so a query still reads every cached entry once
+  * and keeps those of the selected cells; ADC and the exact rescore then
+  * run on the selected cells' postings only.
   */
 final case class InvertedMultiIndex(
     entries: Dataset[IndexedVec],
@@ -29,6 +31,19 @@ final case class InvertedMultiIndex(
     total: Long) {
 
   def nCells: Int = cellDirectory.size
+
+  /** The directory's cell ids in ascending order. Together with
+    * [[cellCounts]] and [[cellCodes]] this is the directory as primitive
+    * arrays, built once per index, so ranking the cells of a query walks
+    * arrays instead of the map.
+    */
+  lazy val cellIds: Array[Long] = cellDirectory.keys.toArray.sorted
+
+  /** `cellCounts(i)` is the posting count of cell `cellIds(i)`. */
+  lazy val cellCounts: Array[Long] = cellIds.map(cellDirectory)
+
+  /** `cellCodes(i)` holds the decoded PQ codes of cell `cellIds(i)`. */
+  lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
 }
 
 object InvertedMultiIndex {

@@ -17,7 +17,7 @@ final case class PatchMeta(
     ph: Double,
     isObject: Boolean)
 
-/** A fully resolved retrieval candidate after the metadata join. */
+/** A fully resolved retrieval candidate after the metadata lookup. */
 final case class Candidate(
     patchId: Long,
     frameId: Long,
@@ -33,21 +33,25 @@ object MetadataStore {
     patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
   }
 
-  /** Resolve search hits to boxes via an equi-join on patch id. Order of
-    * the input hits (descending score) is preserved in the output.
+  /** Resolve search hits to boxes: one narrow filter of the cached store
+    * on the hits' patch ids (no join, no shuffle). The output follows the
+    * input hits (descending score), one candidate per hit with that hit's
+    * score; hits whose patch id the store lacks are dropped.
     */
   def resolve(meta: Dataset[PatchMeta], hits: Seq[SearchHit]): Seq[Candidate] = {
     if (hits.isEmpty) return Seq.empty
     val spark = meta.sparkSession
     import spark.implicits._
-    val hitDs = spark.createDataset(hits.map(h => (h.patchId, h.score)))
-      .toDF("patchId", "score")
-    val joined = meta.join(hitDs, "patchId")
-      .select($"patchId", $"frameId", $"score", $"px", $"py", $"pw", $"ph")
-      .as[(Long, Long, Double, Double, Double, Double, Double)]
+    val rows = meta
+      .coalesce(spark.sparkContext.defaultParallelism)
+      .filter($"patchId".isin(hits.map(_.patchId).distinct: _*))
+      .select($"patchId", $"frameId", $"px", $"py", $"pw", $"ph")
+      .as[(Long, Long, Double, Double, Double, Double)]
       .collect()
-      .map { case (pid, fid, s, x, y, w, h) => pid -> Candidate(pid, fid, s, BBox(x, y, w, h)) }
+      .map { case (pid, fid, x, y, w, h) => pid -> (fid, BBox(x, y, w, h)) }
       .toMap
-    hits.flatMap(h => joined.get(h.patchId))
+    hits.flatMap(h => rows.get(h.patchId).map { case (fid, box) =>
+      Candidate(h.patchId, fid, h.score, box)
+    })
   }
 }

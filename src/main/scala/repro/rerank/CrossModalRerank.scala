@@ -30,7 +30,9 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * verb / positional tokens that fast search dropped. An image-to-text
   * cross-attention layer fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
-  * box per object. Runs as a Spark map over the candidate frames.
+  * box per object. Runs as one narrow Spark job: a column filter of the
+  * cached frames on the candidate ids (only those frames are
+  * deserialized), then a map over them, one task per core.
   */
 object CrossModalRerank {
 
@@ -93,8 +95,10 @@ object CrossModalRerank {
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
+    // A column filter, so only the candidate frames are deserialized.
     val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] = frames
-      .filter(fr => fset.contains(fr.frameId))
+      .coalesce(spark.sparkContext.defaultParallelism)
+      .filter($"frameId".isin(fset.toSeq: _*))
       .map { fr =>
         val (ls, objs) = rerankFrame(fr, textTokens, params)
         (fr.frameId, ls, objs, fr.objects.size)

@@ -3,7 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
-import repro.testkit.Fixtures
+import repro.testkit.{Fixtures, SparkWork}
 import repro.vit.PatchGrid
 
 class LovoSpec extends SparkSpec {
@@ -109,6 +109,16 @@ class LovoSpec extends SparkSpec {
       val nCands = Lovo.query(build, parsed, k.toInt, v, hnsw = hnsw).candidates.size
       assert(nCands <= k, label)
     }
+  }
+
+  test("an IVF-PQ query with rerank runs at most 3 narrow Spark jobs, one task per core") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    Lovo.query(build, parsed, k = 40) // materializes the lazily cached metadata store
+    val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
+    assert(res.rerank.exists(_.framesProcessed > 0))
+    assert(work.jobs >= 1 && work.jobs <= 3, work.toString)
+    assert(work.shuffleStages == 0, work.toString)
+    assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), work.toString)
   }
 
   test("queries are deterministic end to end") {

@@ -1,9 +1,10 @@
 package repro.index
 
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.pq.ProductQuantizer
 import repro.testkit.Fixtures
-import repro.util.VecOps
+import repro.util.{Rng, VecOps}
 
 class AnnSearchSpec extends SparkSpec {
 
@@ -79,6 +80,83 @@ class AnnSearchSpec extends SparkSpec {
     val b = AnnSearch.search(index, q, k = 12)
     assert(a._1 == b._1)
     assert(a._2 == b._2)
+  }
+
+  /** The search as a join plan: every directory cell scored and sorted as
+    * boxed tuples, the selected cells' postings fetched with a left-semi
+    * join, ADC top-`rescoreDepth` by a global `orderBy`/`limit`, exact
+    * top-k on the driver. `AnnSearch.search` must answer exactly as this.
+    */
+  private def joinPlanSearch(index: InvertedMultiIndex, q: Array[Float], k: Int,
+                             rescoreFactor: Int = 20,
+                             scanFraction: Double = 0.35): (Seq[SearchHit], AnnStats) = {
+    val pq = index.pq
+    val qn = VecOps.normalize(q)
+    val table = pq.lut(qn)
+    val scoredCells = index.cellDirectory.iterator.map { case (cell, count) =>
+      (cell, count, pq.adcScore(table, pq.decodeCell(cell)))
+    }.toIndexedSeq
+    val ordered = scoredCells.sortBy { case (cell, _, s) => (-s, cell) }
+    val minCover = math.max(rescoreFactor.toLong * k,
+      math.ceil(index.total * scanFraction).toLong)
+    val selected = Vector.newBuilder[Long]
+    var covered = 0L
+    for ((cell, count, _) <- ordered if covered < minCover) {
+      selected += cell; covered += count
+    }
+    val cellSet = selected.result()
+    import spark.implicits._
+    val cellsDf = spark.createDataset(cellSet).toDF("cellId")
+    val fetched = index.entries.join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
+    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
+    val approx = fetched
+      .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.emb))
+      .toDF("patchId", "frameId", "approxScore", "emb")
+      .orderBy(col("approxScore").desc, col("patchId"))
+      .limit(rescoreDepth)
+      .as[(Long, Long, Double, Array[Float])]
+      .collect()
+    val exact = approx
+      .map { case (pid, fid, _, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb)) }
+      .sortBy(h => (-h.score, h.patchId))
+      .take(k)
+      .toSeq
+    (exact, AnnStats(pq.P.toLong * pq.M, scoredCells.size, cellSet.size, covered, approx.length))
+  }
+
+  test("search answers exactly as the join plan: hits and stats, seeded random queries") {
+    val ks = Seq(1, 10, index.total.toInt)
+    val fractions = Seq(0.05, 0.35, 1.0)
+    var rescoreBeyondScan = 0
+    for ((k, kIdx) <- ks.zipWithIndex; (f, fIdx) <- fractions.zipWithIndex; rep <- 0 until 3) {
+      val seed = Rng.mix(kIdx * 10L + fIdx, rep.toLong)
+      // Half the queries near a cluster centre, half anywhere.
+      val centre = Fixtures.clusterCentre(nClusters, dim, rep % nClusters)
+      val q = Array.tabulate(dim) { j =>
+        val g = Rng.gaussian(seed, j.toLong).toFloat
+        if (rep % 2 == 0) centre(j) + 0.3f * g else g
+      }
+      val label = s"k=$k scanFraction=$f rep=$rep"
+      val got = AnnSearch.search(index, q, k, scanFraction = f)
+      val want = joinPlanSearch(index, q, k, scanFraction = f)
+      assert(got._1 == want._1, label)
+      assert(got._2 == want._2, label)
+      if (got._2.rescored == got._2.candidates && got._2.candidates < 20L * k) rescoreBeyondScan += 1
+    }
+    assert(rescoreBeyondScan > 0, "no query had a rescore depth beyond the candidates scanned")
+  }
+
+  test("bestFirst orders by score descending, then id, as a boxed sort does") {
+    for (seed <- 0L until 5L; n <- Seq(0, 1, 2, 7, 300)) {
+      // Few distinct scores, so ties (and a -0.0 vs 0.0 pair) are common.
+      val scores = Array.tabulate(n) { i =>
+        val s = (Rng.int(seed, i.toLong, 5) - 2) * 0.5
+        if (s == 0.0 && i % 2 == 0) -0.0 else s
+      }
+      val ids = Array.tabulate(n)(i => Rng.int(seed, 1000L + i, 10 * n + 1).toLong)
+      val want = (0 until n).sortBy(i => (-scores(i), ids(i)))
+      assert(AnnSearch.bestFirst(scores, ids).toSeq == want, s"seed=$seed n=$n")
+    }
   }
 
   test("k must be positive") {

@@ -39,25 +39,27 @@ class MetadataStoreSpec extends SparkSpec {
   }
 
   test("the metadata equi-join matches DuckDB (oracle)") {
+    // MetadataStore.resolve against a SQL join of the hits with the store.
     import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val hitDf = spark.createDataset(patches.take(7).map(p => (p.patchId, 1.0)).toSeq)
-      .toDF("patchId", "score").cache()
-    val metaDf = meta.toDF.select(
-      $"patchId".cast("string") as "patchId",
-      $"frameId".cast("string") as "frameId",
-      $"px".cast("string") as "px")
-    val sparkJoin = meta.toDF.join(hitDf, "patchId")
-      .select($"patchId".cast("string") as "patchId",
-              $"frameId".cast("string") as "frameId",
-              $"px".cast("double") as "px")
+    val sample = patches.take(7)
+    // Descending scores; an unknown id, then a repeat of a known id.
+    val hits = (sample.zipWithIndex.map { case (p, i) => SearchHit(p.patchId, p.frameId, 9.0 - i) } ++
+      Seq(SearchHit(-999L, 0L, 1.5), SearchHit(sample(2).patchId, sample(2).frameId, 1.0))).toSeq
+    val resolved = MetadataStore.resolve(meta, hits)
+    assert(resolved.map(_.patchId) == hits.map(_.patchId).filter(_ != -999L),
+      "one candidate per known hit, in hit order")
+    val got = resolved.map(c => (c.patchId, c.frameId, c.box.x, c.box.y, c.box.w, c.box.h, c.score))
+      .toDF("patchId", "frameId", "px", "py", "pw", "ph", "score")
+    def asText(df: org.apache.spark.sql.DataFrame) =
+      df.select(df.columns.map(c => df(c).cast("string") as c).toIndexedSeq: _*)
     Oracle.assertEquivalent(
-      sparkJoin,
-      """SELECT m.patchId AS patchId, m.frameId AS frameId,
-        |       CAST(m.px AS DOUBLE) AS px
-        |FROM meta m JOIN hits h ON m.patchId = h.patchId""".stripMargin,
-      "meta" -> metaDf,
-      "hits" -> hitDf.select($"patchId".cast("string") as "patchId",
-                             $"score".cast("string") as "score"))
+      got,
+      """SELECT CAST(h.patchId AS BIGINT) AS patchId, CAST(m.frameId AS BIGINT) AS frameId,
+        |       CAST(m.px AS DOUBLE) AS px, CAST(m.py AS DOUBLE) AS py,
+        |       CAST(m.pw AS DOUBLE) AS pw, CAST(m.ph AS DOUBLE) AS ph,
+        |       CAST(h.score AS DOUBLE) AS score
+        |FROM hits h JOIN meta m ON m.patchId = h.patchId""".stripMargin,
+      "meta" -> asText(meta.toDF.select("patchId", "frameId", "px", "py", "pw", "ph")),
+      "hits" -> asText(hits.map(h => (h.patchId, h.score)).toDF("patchId", "score")))
   }
 }

@@ -74,6 +74,26 @@ class CrossModalRerankSpec extends SparkSpec {
     assert(rr.objects.isEmpty && rr.framesProcessed == 0)
   }
 
+  test("absent and repeated candidate ids rerank like a driver-side filter of all frames") {
+    val b = Fixtures.cityscapes
+    val all = b.build.frames.collect()
+    val keys = all.filter(_.isKey).take(5).map(_.frameId).toSeq
+    val candidates = keys ++ Seq(keys(1), -7L, keys.head, Long.MaxValue)
+    val rr = CrossModalRerank.rerank(b.build.frames, candidates, parsed, params)
+    val perFrame = all.filter(f => candidates.contains(f.frameId)).map { fr =>
+      val (ls, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
+      (fr.frameId, ls, objs, fr.objects.size)
+    }
+    val expected = RerankResult(
+      objects = perFrame.flatMap(_._3).sortBy(o => (-o.score, o.frameId, o.objId)).toSeq,
+      frameScores = perFrame.map(f => (f._1, f._2)).sortBy { case (fid, ls) => (-ls, fid) }.toSeq,
+      framesProcessed = perFrame.length,
+      totalImageTokens = perFrame.map(_._4.toLong).sum,
+      textTokens = textTokens.length)
+    assert(rr == expected)
+    assert(rr.framesProcessed == keys.distinct.size, "distinct existing frames")
+  }
+
   test("rerank is deterministic") {
     val b = Fixtures.cityscapes
     val fs = b.build.frames.filter(_.isKey).take(4).map(_.frameId).toSeq

@@ -1,0 +1,56 @@
+package repro.testkit
+
+import scala.collection.mutable
+import org.apache.spark.{SparkContext, TestInternals}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted, SparkListenerTaskEnd}
+
+/** The Spark work one call launched.
+  *
+  * @param tasksPerJob  tasks run by each job, in job-start order
+  * @param shuffleStages stages that wrote or read shuffle data
+  */
+final case class SparkWork(tasksPerJob: Seq[Int], shuffleStages: Int) {
+  def jobs: Int = tasksPerJob.size
+}
+
+object SparkWork {
+
+  /** Runs `body` and counts the jobs, tasks and shuffle stages it
+    * launched. Counts every job of the context meanwhile, so the caller
+    * must be the only one running Spark work.
+    */
+  def during[T](sc: SparkContext)(body: => T): (T, SparkWork) = {
+    TestInternals.drainListenerBus(sc) // earlier work's late events must not be counted
+    val listener = new Counter
+    sc.addSparkListener(listener)
+    try {
+      val result = body
+      TestInternals.drainListenerBus(sc)
+      (result, listener.work)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  private final class Counter extends SparkListener {
+    private val jobOfStage = mutable.Map[Int, Int]()
+    private val tasks = mutable.LinkedHashMap[Int, Int]()
+    private val shuffling = mutable.Set[Int]()
+
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
+      tasks(e.jobId) = 0
+      e.stageIds.foreach(jobOfStage(_) = e.jobId)
+    }
+
+    override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = synchronized {
+      if (TestInternals.isShuffleMapStage(e.stageInfo)) shuffling += e.stageInfo.stageId
+    }
+
+    override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
+      jobOfStage.get(e.stageId).foreach(j => tasks(j) += 1)
+      val m = e.taskMetrics
+      if (m != null && (m.shuffleReadMetrics.recordsRead > 0 || m.shuffleWriteMetrics.recordsWritten > 0))
+        shuffling += e.stageId
+    }
+
+    def work: SparkWork = synchronized { SparkWork(tasks.values.toSeq, shuffling.size) }
+  }
+}
