@@ -75,8 +75,15 @@ object Lovo {
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,
                  hnsw: Option[HnswIndex] = None): (Seq[Candidate], AnnStats) = {
+    val (hits, stats) = search(b, parsed, k, variant, hnsw)
+    (MetadataStore.resolve(b.meta, hits), stats)
+  }
+
+  /** The raw hits of the chosen index variant, before the box lookup. */
+  private def search(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
+                     variant: AnnVariant, hnsw: Option[HnswIndex]): (Seq[SearchHit], AnnStats) = {
     val q = TextEncoder.fastEmbedding(parsed)
-    val (hits, stats) = variant match {
+    variant match {
       case AnnVariant.IvfPq =>
         AnnSearch.search(b.index, q, k, b.cfg.topA, b.cfg.rescoreFactor, b.cfg.scanFraction)
       case AnnVariant.Bf =>
@@ -85,21 +92,26 @@ object Lovo {
         val g = hnsw.getOrElse(sys.error("HNSW variant requires a prebuilt graph"))
         Hnsw.search(g, q, k, math.max(b.cfg.hnswEfSearch, k))
     }
-    (MetadataStore.resolve(b.meta, hits), stats)
   }
 
   /** Full two-stage query (Algorithm 2). With rerank disabled the fast
     * search candidates are returned as-is (Table IV w/o-rerank ablation).
+    * With rerank enabled the boxes of the fast search are never used, so
+    * the candidate frames come straight from the search hits (each hit
+    * carries its frame id and score) and no metadata lookup runs.
     */
   def query(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
             variant: AnnVariant = AnnVariant.IvfPq,
             useRerank: Boolean = true,
             hnsw: Option[HnswIndex] = None): LovoQueryResult = {
-    val (cands, stats) = fastSearch(b, parsed, k, variant, hnsw)
-    if (!useRerank) return LovoQueryResult(cands, stats, None, k)
+    if (!useRerank) {
+      val (cands, stats) = fastSearch(b, parsed, k, variant, hnsw)
+      return LovoQueryResult(cands, stats, None, k)
+    }
+    val (hits, stats) = search(b, parsed, k, variant, hnsw)
 
     // Stage 2: rerank the distinct candidate frames (best-score order).
-    val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
+    val frameOrder = hits.sortBy(h => (-h.score, h.frameId)).map(_.frameId).distinct
     val rr = CrossModalRerank.rerank(b.frames, frameOrder, parsed, b.cfg.rerank)
     val reranked = rr.objects.take(k).map(o =>
       Candidate(patchId = -1L, frameId = o.frameId, score = o.score, box = o.box))

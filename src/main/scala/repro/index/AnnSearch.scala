@@ -25,9 +25,11 @@ private[index] final case class ScoredPosting(patchId: Long, frameId: Long, adc:
   *    summed LUT score and visit them best-first (the multi-sequence
   *    order) until an nprobe-style fraction of the collection is covered.
   *    The top-A product set of line 6 is not applied (see the inline note).
-  * 3. One narrow Spark pass over the cached postings keeps the entries of
-  *    the selected cells and scores each with the LUT sum (lines 8–12) and
-  *    the exact inner product; no shuffle, one task per core.
+  * 3. One narrow Spark pass over the cached postings ([[CachedRows.scan]],
+  *    planned once per index) reads each row's cell id, keeps the entries
+  *    of the selected cells and scores each with the LUT sum (lines 8–12)
+  *    and the exact inner product; only those entries' codes and
+  *    embeddings are decoded. No shuffle, one task per core.
   * 4. On the driver, keep the best max(rescoreFactor * k, scanned/4)
   *    candidates by ADC score, then return the top-k of those by exact
   *    score (lines 13–17; ties broken by patch id for determinism). Every
@@ -75,16 +77,17 @@ object AnnSearch {
 
     // One pass over the cached postings: keep the selected cells' entries
     // and score each by ADC (cheap LUT sum) and exactly (lines 8–15). The
-    // Dataset's RDD is planned once per Dataset, so a query pays no
-    // Catalyst planning.
-    val sc = index.entries.sparkSession.sparkContext
-    val scanned = index.entries.rdd
-      .coalesce(sc.defaultParallelism)
-      .mapPartitions(_.collect {
-        case e if java.util.Arrays.binarySearch(selected, e.cellId) >= 0 =>
-          ScoredPosting(e.patchId, e.frameId, pq.adcScore(table, e.codes), VecOps.dot(qn, e.emb))
-      })
-      .collect()
+    // cell id is read first, so only the selected entries' codes and
+    // embeddings are copied out of the row.
+    val col = CachedRows.column(index.entries, _: String)
+    val (cellCol, patchCol, frameCol) = (col("cellId"), col("patchId"), col("frameId"))
+    val (codesCol, embCol) = (col("codes"), col("emb"))
+    val scanned = CachedRows.scan(index.entries, "ann_search")(_.collect {
+      case r if java.util.Arrays.binarySearch(selected, r.getLong(cellCol)) >= 0 =>
+        ScoredPosting(r.getLong(patchCol), r.getLong(frameCol),
+          pq.adcScore(table, r.getArray(codesCol).toIntArray()),
+          VecOps.dot(qn, r.getArray(embCol).toFloatArray()))
+    })
 
     // The exact-rescore depth scales with the scan (ADC ordering is a weak
     // ranker on near-parallel embeddings, so a fixed multiple of k would

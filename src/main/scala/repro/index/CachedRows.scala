@@ -1,0 +1,49 @@
+package repro.index
+
+import scala.reflect.ClassTag
+import org.apache.spark.sql.{Dataset, classic}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.encoders.{ExpressionEncoder, encoderFor}
+import org.apache.spark.sql.execution.{QueryExecution, SQLExecution}
+
+/** Per-query scans of a cached Dataset through its once-planned physical
+  * plan.
+  *
+  * A Dataset operator (`filter`, `map`, `select`) builds a new plan that
+  * Catalyst analyzes, optimizes and code-generates on every call. The
+  * Dataset's own `queryExecution.toRdd` is planned once and memoized, so a
+  * scan through it reads the in-memory cache and plans nothing. Its rows
+  * are Spark's internal rows: address their columns by the ordinal that
+  * [[column]] finds by name, never by case-class field position, and read
+  * a row before advancing, since the scan may reuse its buffer.
+  */
+object CachedRows {
+
+  private def plan(ds: Dataset[_]): QueryExecution =
+    ds.asInstanceOf[classic.Dataset[_]].queryExecution
+
+  /** Ordinal of column `name` in the Dataset's analyzed output. */
+  def column(ds: Dataset[_], name: String): Int = {
+    val i = plan(ds).analyzed.output.indexWhere(_.name == name)
+    require(i >= 0, s"no column $name among ${ds.columns.mkString(", ")}")
+    i
+  }
+
+  /** The Dataset's encoder bound to its analyzed output, so
+    * `createDeserializer()` turns one of its rows into a `T`.
+    */
+  def decoder[T](ds: Dataset[T]): ExpressionEncoder[T] =
+    encoderFor(ds.encoder).resolveAndBind(plan(ds).analyzed.output)
+
+  /** Runs `f` over each partition of the Dataset's physical rows, at
+    * `defaultParallelism` tasks, and collects what it emits: one narrow
+    * Spark job, run as a SQL execution named `name`, so the job still
+    * reports its cached-scan row metric.
+    */
+  def scan[U: ClassTag](ds: Dataset[_], name: String)(f: Iterator[InternalRow] => Iterator[U]): Array[U] = {
+    val qe = plan(ds)
+    SQLExecution.withNewExecutionId(qe, Some(name)) {
+      qe.toRdd.coalesce(qe.sparkSession.sparkContext.defaultParallelism).mapPartitions(f).collect()
+    }
+  }
+}

@@ -33,23 +33,24 @@ object MetadataStore {
     patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
   }
 
-  /** Resolve search hits to boxes: one narrow filter of the cached store
-    * on the hits' patch ids (no join, no shuffle). The output follows the
-    * input hits (descending score), one candidate per hit with that hit's
-    * score; hits whose patch id the store lacks are dropped.
+  /** Resolve search hits to boxes: one narrow scan of the cached store
+    * ([[CachedRows.scan]], planned once per store) that reads each row's
+    * patch id and decodes only the rows of the hits (no join, no shuffle).
+    * The output follows the input hits (descending score), one candidate
+    * per hit with that hit's score; hits whose patch id the store lacks
+    * are dropped.
     */
   def resolve(meta: Dataset[PatchMeta], hits: Seq[SearchHit]): Seq[Candidate] = {
     if (hits.isEmpty) return Seq.empty
-    val spark = meta.sparkSession
-    import spark.implicits._
-    val rows = meta
-      .coalesce(spark.sparkContext.defaultParallelism)
-      .filter($"patchId".isin(hits.map(_.patchId).distinct: _*))
-      .select($"patchId", $"frameId", $"px", $"py", $"pw", $"ph")
-      .as[(Long, Long, Double, Double, Double, Double)]
-      .collect()
-      .map { case (pid, fid, x, y, w, h) => pid -> (fid, BBox(x, y, w, h)) }
-      .toMap
+    val ids = hits.map(_.patchId).distinct.toArray.sorted
+    val col = CachedRows.column(meta, _: String)
+    val (patchCol, frameCol) = (col("patchId"), col("frameId"))
+    val (xCol, yCol, wCol, hCol) = (col("px"), col("py"), col("pw"), col("ph"))
+    val rows = CachedRows.scan(meta, "resolve")(_.collect {
+      case r if java.util.Arrays.binarySearch(ids, r.getLong(patchCol)) >= 0 =>
+        r.getLong(patchCol) -> (r.getLong(frameCol),
+          BBox(r.getDouble(xCol), r.getDouble(yCol), r.getDouble(wCol), r.getDouble(hCol)))
+    }).toMap
     hits.flatMap(h => rows.get(h.patchId).map { case (fid, box) =>
       Candidate(h.patchId, fid, h.score, box)
     })

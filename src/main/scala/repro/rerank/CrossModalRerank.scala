@@ -2,6 +2,7 @@ package repro.rerank
 
 import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder}
+import repro.index.CachedRows
 import repro.util.Rng
 import repro.vit.BBox
 import repro.video.{FrameRec, ObjRec, Scene}
@@ -30,9 +31,10 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * verb / positional tokens that fast search dropped. An image-to-text
   * cross-attention layer fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
-  * box per object. Runs as one narrow Spark job: a column filter of the
-  * cached frames on the candidate ids (only those frames are
-  * deserialized), then a map over them, one task per core.
+  * box per object. Runs as one narrow Spark job over the cached frames
+  * ([[repro.index.CachedRows.scan]], planned once per frames Dataset, one
+  * task per core): it reads each row's frame id and deserializes and
+  * reranks only the candidate frames.
   */
 object CrossModalRerank {
 
@@ -87,23 +89,26 @@ object CrossModalRerank {
   def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],
              parsed: TextEncoder.ParsedQuery,
              params: RerankParams = RerankParams()): RerankResult = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    val fset = candidateFrames.toSet
-    if (fset.isEmpty)
+    val ids = candidateFrames.distinct.toArray.sorted
+    if (ids.isEmpty)
       return RerankResult(Seq.empty, Seq.empty, 0, 0L, parsed.allTokens.size)
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
-    // A column filter, so only the candidate frames are deserialized.
-    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] = frames
-      .coalesce(spark.sparkContext.defaultParallelism)
-      .filter($"frameId".isin(fset.toSeq: _*))
-      .map { fr =>
-        val (ls, objs) = rerankFrame(fr, textTokens, params)
-        (fr.frameId, ls, objs, fr.objects.size)
+    // The frame id is read first, so only the candidate frames are
+    // deserialized, by the Dataset's encoder bound to its own columns.
+    val frameCol = CachedRows.column(frames, "frameId")
+    val enc = CachedRows.decoder(frames)
+    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] =
+      CachedRows.scan(frames, "rerank") { rows =>
+        val fromRow = enc.createDeserializer()
+        rows.collect {
+          case r if java.util.Arrays.binarySearch(ids, r.getLong(frameCol)) >= 0 =>
+            val fr = fromRow(r)
+            val (ls, objs) = rerankFrame(fr, textTokens, params)
+            (fr.frameId, ls, objs, fr.objects.size)
+        }
       }
-      .collect()
 
     val frameScores = perFrame.map { case (fid, ls, _, _) => (fid, ls) }
       .sortBy { case (fid, ls) => (-ls, fid) }.toSeq

@@ -111,14 +111,71 @@ class LovoSpec extends SparkSpec {
     }
   }
 
-  test("an IVF-PQ query with rerank runs at most 3 narrow Spark jobs, one task per core") {
-    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
-    Lovo.query(build, parsed, k = 40) // materializes the lazily cached metadata store
-    val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
-    assert(res.rerank.exists(_.framesProcessed > 0))
-    assert(work.jobs >= 1 && work.jobs <= 3, work.toString)
+  /** At most 2 narrow jobs, one task per core, each inside a SQL execution
+    * (so its cached scan reports rows, not batches).
+    */
+  private def assertNarrow(work: SparkWork): Unit = {
+    assert(work.jobs >= 1 && work.jobs <= 2, work.toString)
     assert(work.shuffleStages == 0, work.toString)
     assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), work.toString)
+    assert(work.sqlExecutions >= 1 && work.jobsOutsideSql == 0, work.toString)
+  }
+
+  test("an IVF-PQ query with rerank runs at most 2 narrow Spark jobs, one task per core") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    Lovo.query(build, parsed, k = 40) // fills any lazily built cache first
+    val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
+    assert(res.rerank.exists(_.framesProcessed > 0))
+    assertNarrow(work)
+  }
+
+  test("an IVF-PQ fastSearch runs at most 2 narrow Spark jobs, one task per core") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    Lovo.fastSearch(build, parsed, k = 40) // materializes the lazily cached metadata store
+    val ((cands, _), work) = SparkWork.during(spark.sparkContext)(Lovo.fastSearch(build, parsed, k = 40))
+    assert(cands.nonEmpty)
+    assertNarrow(work)
+  }
+
+  test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    for (v <- AnnVariant.all) {
+      val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      val label = AnnVariant.name(v)
+      val (cands, fastStats) = Lovo.fastSearch(build, parsed, k = 40, v, hnsw)
+      val frameOrder = cands.sortBy(c => (-c.score, c.frameId)).map(_.frameId).distinct
+      val rr = repro.rerank.CrossModalRerank.rerank(build.frames, frameOrder, parsed, build.cfg.rerank)
+      val res = Lovo.query(build, parsed, k = 40, v, hnsw = hnsw)
+      assert(res.rerank.contains(rr), label)
+      assert(res.fastStats == fastStats, label)
+      assert(res.candidates == rr.objects.take(40).map(o =>
+        repro.index.Candidate(-1L, o.frameId, o.score, o.box)), label)
+    }
+  }
+
+  test("a collection with fewer entries than PQ centroids builds and answers on every variant") {
+    import spark.implicits._
+    val n = 20
+    assert(n < build.cfg.pqCentroids)
+    val patches = build.patches.orderBy($"patchId").limit(n).cache()
+    val pq = repro.pq.ProductQuantizer.train(patches.map(_.emb).rdd, build.cfg.pqSubspaces,
+      build.cfg.pqSubdim, build.cfg.pqCentroids, build.cfg.kmeansIters)
+    val index = repro.index.InvertedMultiIndex.build(patches, pq, build.cfg.indexPartitions)
+    val small = build.copy(patches = patches, index = index,
+      meta = repro.index.MetadataStore.build(patches),
+      counts = build.counts.copy(entries = n.toLong))
+    assert(index.total == n)
+    val g = Lovo.buildHnsw(small)
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.1").text)
+    for (v <- AnnVariant.all; k <- Seq(5, n + 10)) {
+      val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
+      val label = s"${AnnVariant.name(v)} k=$k"
+      val (cands, _) = Lovo.fastSearch(small, parsed, k, v, hnsw)
+      assert(cands.size == math.min(k, n), label)
+      val res = Lovo.query(small, parsed, k, v, hnsw = hnsw)
+      assert(res.rerank.exists(_.framesProcessed > 0), label)
+      assert(res.candidates.nonEmpty && res.candidates.size <= k, label)
+    }
   }
 
   test("queries are deterministic end to end") {

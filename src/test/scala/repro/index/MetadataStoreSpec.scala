@@ -38,6 +38,16 @@ class MetadataStoreSpec extends SparkSpec {
     assert(MetadataStore.resolve(meta, Seq.empty).isEmpty)
   }
 
+  test("resolve finds columns by name, not by case-class field position") {
+    import spark.implicits._
+    val reordered = meta.select(meta.columns.reverse.map(meta(_)).toIndexedSeq: _*).as[PatchMeta].cache()
+    assert(reordered.columns.toSeq != meta.columns.toSeq)
+    val hits = patches.take(9).zipWithIndex.map { case (p, i) => SearchHit(p.patchId, p.frameId, 5.0 - i) }.toSeq
+    val expected = MetadataStore.resolve(meta, hits)
+    assert(expected.size == hits.size)
+    assert(MetadataStore.resolve(reordered, hits) == expected)
+  }
+
   test("the metadata equi-join matches DuckDB (oracle)") {
     // MetadataStore.resolve against a SQL join of the hits with the store.
     import spark.implicits._

@@ -94,6 +94,30 @@ class CrossModalRerankSpec extends SparkSpec {
     assert(rr.framesProcessed == keys.distinct.size, "distinct existing frames")
   }
 
+  test("rerank finds columns by name, not by case-class field position") {
+    import spark.implicits._
+    val frames = Fixtures.cityscapes.build.frames
+    val reordered = frames.select(frames.columns.reverse.map(frames(_)).toIndexedSeq: _*).as[FrameRec]
+    assert(reordered.columns.toSeq != frames.columns.toSeq)
+    val fs = frames.filter(_.isKey).take(5).map(_.frameId).toSeq
+    val expected = CrossModalRerank.rerank(frames, fs, parsed, params)
+    assert(expected.framesProcessed == fs.size && expected.objects.nonEmpty)
+    assert(CrossModalRerank.rerank(reordered, fs, parsed, params) == expected)
+  }
+
+  test("a candidate frame without objects scores -inf, adds no objects and still counts") {
+    import spark.implicits._
+    val full = frame(2L, Seq(ObjRec(21L, posTokens, 100, 80, 40, 22), ObjRec(22L, nearTokens, 30, 30, 40, 22)))
+    val frames = spark.createDataset(Seq(frame(1L, Seq.empty), full, frame(3L, Seq.empty))).cache()
+    val rr = CrossModalRerank.rerank(frames, Seq(1L, 2L), parsed, params)
+    assert(rr.framesProcessed == 2)
+    assert(rr.totalImageTokens == 2L)
+    assert(rr.objects.map(_.objId).toSet == Set(21L, 22L))
+    assert(rr.frameScores.map(_._1) == Seq(2L, 1L))
+    assert(rr.frameScores.last._2.isNegInfinity)
+    assert(rr.frameScores.head._2 == CrossModalRerank.rerankFrame(full, textTokens, params)._1)
+  }
+
   test("rerank is deterministic") {
     val b = Fixtures.cityscapes
     val fs = b.build.frames.filter(_.isKey).take(4).map(_.frameId).toSeq
