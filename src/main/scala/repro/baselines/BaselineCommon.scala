@@ -1,23 +1,33 @@
 package repro.baselines
 
+import org.apache.spark.sql.{Dataset, Encoders}
+import repro.encoder.{TextEncoder, Vocab}
+import repro.eval.Detection
 import repro.util.Rng
-import repro.vit.BBox
-import repro.video.{FrameRec, ObjRec, Scene}
+import repro.video.{FrameRec, ObjRec}
 
 /** Shared helpers for the baseline behavioural models. */
 object BaselineCommon {
 
-  /** A detector's noisy box for an object, keyed per baseline (salt). */
-  def detBox(o: ObjRec, noise: Double, salt: Long): BBox = {
-    val key = Rng.mix(o.objId, salt)
-    BBox.clamp(
-      BBox(
-        o.x + noise * o.w * Rng.gaussian(key, 1L),
-        o.y + noise * o.h * Rng.gaussian(key, 2L),
-        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
-        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
-      Scene.W, Scene.H)
-  }
+  /** The ranking pass of every per-keyframe baseline: run `detect` on each
+    * keyframe as one Spark job, then keep the k best detections (score
+    * descending, ties by frame id, then in scan order).
+    */
+  def topKeyframeDetections(frames: Dataset[FrameRec], k: Int)(
+      detect: FrameRec => Seq[Detection]): Seq[Detection] =
+    frames.filter(_.isKey)
+      .flatMap(detect)(Encoders.product[Detection])
+      .collect()
+      .sortBy(d => (-d.score, d.frameId))
+      .take(k)
+      .toSeq
+
+  /** The query's class token if a closed-set (MSCOCO) detector knows the
+    * class; None for a novel class or a query without one.
+    */
+  def cocoClass(parsed: TextEncoder.ParsedQuery): Option[String] =
+    parsed.tokens.find(Vocab.category(_) == Vocab.Cls)
+      .filter(t => Vocab.MscocoClasses.contains(Vocab.value(t)))
 
   /** The visually dominant object of a frame (largest area). */
   def largestObject(fr: FrameRec): Option[ObjRec] =

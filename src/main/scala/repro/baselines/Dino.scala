@@ -20,18 +20,10 @@ object Dino {
 
   def search(frames: Dataset[FrameRec], parsed: TextEncoder.ParsedQuery,
              k: Int, params: RerankParams = RerankParams()): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
     val textTokens = TextEncoder.rerankTokenEmbeddings(parsed).toArray
-    frames.filter(_.isKey)
-      .flatMap { fr =>
-        val (_, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
-        objs.map(o => (o.frameId, o.score, o.box))
-      }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+      val (_, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
+      objs.map(o => Detection(o.frameId, o.score, o.box))
+    }
   }
 }

@@ -1,10 +1,11 @@
 package repro.baselines
 
 import org.apache.spark.sql.Dataset
-import repro.encoder.{TextEncoder, Vocab}
+import repro.encoder.TextEncoder
 import repro.eval.Detection
 import repro.util.Rng
 import repro.video.FrameRec
+import repro.vit.BBox
 
 /** FiGO-style QD-search baseline (paper [17]).
   *
@@ -19,29 +20,20 @@ object Figo {
 
   def search(frames: Dataset[FrameRec], parsed: TextEncoder.ParsedQuery,
              k: Int): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    val cls = parsed.tokens.find(Vocab.category(_) == Vocab.Cls)
-    if (cls.isEmpty || !Vocab.MscocoClasses.contains(Vocab.value(cls.get)))
-      return Seq.empty
+    val cls = BaselineCommon.cocoClass(parsed)
+    if (cls.isEmpty) return Seq.empty
     val wanted = cls.get
     val fast = parsed.fastTokens
-    frames.filter(_.isKey)
-      .flatMap { fr =>
-        fr.objects.filter(_.tokens.contains(wanted)).map { o =>
-          val frac =
-            if (fast.isEmpty) 1.0
-            else fast.count(o.tokens.contains).toDouble / fast.size
-          // the ensemble's per-attribute verdicts are accurate (low noise);
-          // what it cannot do is express relations/verbs at all
-          val score = 0.3 + 0.6 * frac + 0.06 * Rng.gaussian(Rng.mix(o.objId, 0xF160L), 9L)
-          (fr.frameId, score, BaselineCommon.detBox(o, 0.07, 0xF160L))
-        }
+    BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+      fr.objects.filter(_.tokens.contains(wanted)).map { o =>
+        val frac =
+          if (fast.isEmpty) 1.0
+          else fast.count(o.tokens.contains).toDouble / fast.size
+        // the ensemble's per-attribute verdicts are accurate (low noise);
+        // what it cannot do is express relations/verbs at all
+        val score = 0.3 + 0.6 * frac + 0.06 * Rng.gaussian(Rng.mix(o.objId, 0xF160L), 9L)
+        Detection(fr.frameId, score, BBox.noisy(o, 0.07, 0xF160L))
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    }
   }
 }

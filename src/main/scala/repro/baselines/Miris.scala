@@ -5,6 +5,7 @@ import repro.encoder.{TextEncoder, Vocab}
 import repro.eval.Detection
 import repro.util.Rng
 import repro.video.FrameRec
+import repro.vit.BBox
 
 /** MIRIS-style QD-search baseline (paper [24]).
   *
@@ -19,30 +20,21 @@ object Miris {
 
   def search(frames: Dataset[FrameRec], parsed: TextEncoder.ParsedQuery,
              k: Int): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    val cls = parsed.tokens.find(Vocab.category(_) == Vocab.Cls)
-    if (cls.isEmpty || !Vocab.MscocoClasses.contains(Vocab.value(cls.get)))
-      return Seq.empty // unseen class: would require detector retraining
+    val cls = BaselineCommon.cocoClass(parsed)
+    if (cls.isEmpty) return Seq.empty // unseen class: would require detector retraining
     val wanted = cls.get
     val cols = parsed.tokens.filter(Vocab.category(_) == Vocab.Col)
-    frames.filter(_.isKey)
-      .flatMap { fr =>
-        fr.objects.filter(_.tokens.contains(wanted)).map { o =>
-          // the tracker's colour model is weak (paper §VII-B: "limited
-          // generality of their detection models"): colour evidence gets
-          // little weight relative to detector noise
-          val colFrac =
-            if (cols.isEmpty) 1.0
-            else cols.count(o.tokens.contains).toDouble / cols.size
-          val score = 0.6 + 0.15 * colFrac + 0.30 * Rng.gaussian(Rng.mix(o.objId, 0x317BL), 9L)
-          (fr.frameId, score, BaselineCommon.detBox(o, 0.08, 0x317BL))
-        }
+    BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+      fr.objects.filter(_.tokens.contains(wanted)).map { o =>
+        // the tracker's colour model is weak (paper §VII-B: "limited
+        // generality of their detection models"): colour evidence gets
+        // little weight relative to detector noise
+        val colFrac =
+          if (cols.isEmpty) 1.0
+          else cols.count(o.tokens.contains).toDouble / cols.size
+        val score = 0.6 + 0.15 * colFrac + 0.30 * Rng.gaussian(Rng.mix(o.objId, 0x317BL), 9L)
+        Detection(fr.frameId, score, BBox.noisy(o, 0.08, 0x317BL))
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    }
   }
 }

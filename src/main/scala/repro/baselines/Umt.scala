@@ -5,6 +5,7 @@ import repro.encoder.{SemanticSpace, TextEncoder}
 import repro.eval.Detection
 import repro.util.{Rng, VecOps}
 import repro.video.{DatasetConfig, FrameRec}
+import repro.vit.BBox
 
 /** UMT-style end-to-end moment retrieval baseline (paper [39]).
   *
@@ -37,7 +38,7 @@ object Umt {
         val emb = Zelda.frameEmbedding(fr)
         val largest = BaselineCommon.largestObject(fr)
         (fr.videoId, fr.idx, fr.frameId, fr.isKey, emb,
-          largest.map(o => BaselineCommon.detBox(o, 0.05, 0x03B7L)))
+          largest.map(o => BBox.noisy(o, 0.05, 0x03B7L)))
       }
       .collect()
       .groupBy(_._1)

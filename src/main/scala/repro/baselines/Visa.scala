@@ -5,6 +5,7 @@ import repro.encoder.{SemanticSpace, TextEncoder}
 import repro.eval.Detection
 import repro.util.{Rng, VecOps}
 import repro.video.{DatasetConfig, FrameRec}
+import repro.vit.BBox
 
 /** VISA-style video reasoning segmentation baseline (paper [48]).
   *
@@ -20,34 +21,26 @@ object Visa {
 
   def search(frames: Dataset[FrameRec], cfg: DatasetConfig,
              parsed: TextEncoder.ParsedQuery, k: Int): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
     val q = SemanticSpace.embedText(parsed.tokens)
     val (wrongProb, scoreSigma, boxNoise) =
       if (cfg.traffic) (0.55, 0.30, 0.15) else (0.10, 0.10, 0.06)
 
-    frames.filter(_.isKey)
-      .flatMap { fr =>
-        if (fr.objects.isEmpty) Seq.empty[(Long, Double, repro.vit.BBox)]
-        else {
-          val scored = fr.objects.map { o =>
-            val emb = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x71A5L), 0.2)
-            (o, VecOps.dot(emb, q))
-          }
-          val best = scored.maxBy { case (o, s) => (s, -o.objId) }
-          val fKey = Rng.mix(fr.frameId, 0x71A5L)
-          val pick =
-            if (Rng.uniform(fKey, 0x1L) < wrongProb)
-              scored(Rng.int(fKey, 0x2L, scored.size)) // wrong-object latch
-            else best
-          val score = pick._2 + scoreSigma * Rng.gaussian(fKey, 0x3L)
-          Seq((fr.frameId, score, BaselineCommon.detBox(pick._1, boxNoise, 0x71A5L)))
+    BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+      if (fr.objects.isEmpty) Seq.empty
+      else {
+        val scored = fr.objects.map { o =>
+          val emb = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x71A5L), 0.2)
+          (o, VecOps.dot(emb, q))
         }
+        val best = scored.maxBy { case (o, s) => (s, -o.objId) }
+        val fKey = Rng.mix(fr.frameId, 0x71A5L)
+        val pick =
+          if (Rng.uniform(fKey, 0x1L) < wrongProb)
+            scored(Rng.int(fKey, 0x2L, scored.size)) // wrong-object latch
+          else best
+        val score = pick._2 + scoreSigma * Rng.gaussian(fKey, 0x3L)
+        Seq(Detection(fr.frameId, score, BBox.noisy(pick._1, boxNoise, 0x71A5L)))
       }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    }
   }
 }

@@ -1,9 +1,10 @@
 package repro.baselines
 
 import org.apache.spark.sql.Dataset
-import repro.encoder.{TextEncoder, Vocab}
+import repro.encoder.TextEncoder
 import repro.eval.Detection
 import repro.video.FrameRec
+import repro.vit.BBox
 
 /** VOCAL-style QA-index baseline (paper [21], [45], [46]).
   *
@@ -20,22 +21,14 @@ object Vocal {
   /** Ranked detections for a query against the prebuilt class index. */
   def search(frames: Dataset[FrameRec], parsed: TextEncoder.ParsedQuery,
              k: Int): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
-    val cls = parsed.tokens.find(Vocab.category(_) == Vocab.Cls).map(Vocab.value)
-    cls match {
-      case Some(c) if Vocab.MscocoClasses.contains(c) =>
-        val wanted = Vocab.token(Vocab.Cls, c)
-        frames.filter(_.isKey)
-          .flatMap(fr => fr.objects.filter(_.tokens.contains(wanted))
-            .map(o => (fr.frameId, o.objId, BaselineCommon.detBox(o, 0.08, 0x0CA1L))))
-          .collect()
-          .map { case (fid, oid, box) =>
-            Detection(fid, 0.5 + BaselineCommon.jitter(oid, 0x11L), box) }
-          .sortBy(d => (-d.score, d.frameId))
-          .take(k)
-          .toSeq
-      case _ => Seq.empty // outside the predefined label set: index miss
+    BaselineCommon.cocoClass(parsed) match {
+      case Some(wanted) =>
+        BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+          fr.objects.filter(_.tokens.contains(wanted)).map(o =>
+            Detection(fr.frameId, 0.5 + BaselineCommon.jitter(o.objId, 0x11L),
+              BBox.noisy(o, 0.08, 0x0CA1L)))
+        }
+      case None => Seq.empty // outside the predefined label set: index miss
     }
   }
 }

@@ -5,6 +5,7 @@ import repro.encoder.{SemanticSpace, TextEncoder, Vocab}
 import repro.eval.Detection
 import repro.util.{Rng, VecOps}
 import repro.video.FrameRec
+import repro.vit.BBox
 
 /** ZELDA-style vision-language baseline (paper [44]).
   *
@@ -28,25 +29,17 @@ object Zelda {
 
   def search(frames: Dataset[FrameRec], parsed: TextEncoder.ParsedQuery,
              k: Int): Seq[Detection] = {
-    val spark = frames.sparkSession
-    import spark.implicits._
     val q = SemanticSpace.embedText(parsed.tokens) // full-sentence encoding
-    frames.filter(_.isKey)
-      .flatMap { fr =>
-        val score = VecOps.dot(frameEmbedding(fr), q)
-        // coarse attention localization: query-similar object, sloppy box
-        val pick =
-          if (fr.objects.isEmpty) None
-          else Some(fr.objects.maxBy { o =>
-            val e = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x2E1DAL), 0.5)
-            (VecOps.dot(e, q), -o.objId)
-          })
-        pick.map(o => (fr.frameId, score, BaselineCommon.detBox(o, 0.22, 0x2E1DAL)))
-      }
-      .collect()
-      .map { case (fid, s, box) => Detection(fid, s, box) }
-      .sortBy(d => (-d.score, d.frameId))
-      .take(k)
-      .toSeq
+    BaselineCommon.topKeyframeDetections(frames, k) { fr =>
+      val score = VecOps.dot(frameEmbedding(fr), q)
+      // coarse attention localization: query-similar object, sloppy box
+      val pick =
+        if (fr.objects.isEmpty) None
+        else Some(fr.objects.maxBy { o =>
+          val e = SemanticSpace.embedTokens(o.tokens, Rng.mix(o.objId, 0x2E1DAL), 0.5)
+          (VecOps.dot(e, q), -o.objId)
+        })
+      pick.map(o => Detection(fr.frameId, score, BBox.noisy(o, 0.22, 0x2E1DAL))).toSeq
+    }
   }
 }

@@ -17,13 +17,11 @@ import repro.util.{Rng, VecOps}
 final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64,
                       val seed: Long = 7L) {
   private val mL = 1.0 / math.log(M.toDouble)
-  private val maxM = M
   private val maxM0 = 2 * M
 
   private val ids = mutable.ArrayBuffer[Long]()
   private val frameIds = mutable.ArrayBuffer[Long]()
   private val vecs = mutable.ArrayBuffer[Array[Float]]()
-  private val levels = mutable.ArrayBuffer[Int]()
   // links(node)(level) = neighbour node indices
   private val links = mutable.ArrayBuffer[Array[mutable.ArrayBuffer[Int]]]()
 
@@ -83,6 +81,28 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     drained.reverse.map(t => (t._2, t._1))
   }
 
+  /** Greedy descent through the layers above `toLevel`: on each layer move
+    * to the closest neighbour until none improves, starting from the entry
+    * point; returns the node reached.
+    */
+  private def descend(q: Array[Float], toLevel: Int): Int = {
+    var ep = entryPoint
+    var lc = topLevel
+    while (lc > toLevel) {
+      var improved = true
+      var bestD = dist(ep, q)
+      while (improved) {
+        improved = false
+        for (nb <- links(ep)(lc)) {
+          val d = dist(nb, q)
+          if (d < bestD) { bestD = d; ep = nb; improved = true }
+        }
+      }
+      lc -= 1
+    }
+    ep
+  }
+
   /** Prune a neighbour list to the `cap` closest (simple selection). */
   private def shrink(node: Int, level: Int, cap: Int): Unit = {
     val lst = links(node)(level)
@@ -96,35 +116,18 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     require(v.length == dim, s"expected dim $dim, got ${v.length}")
     val node = ids.length
     val level = drawLevel(id)
-    ids += id; frameIds += frameId; vecs += VecOps.normalize(v); levels += level
+    ids += id; frameIds += frameId; vecs += VecOps.normalize(v)
     links += Array.fill(level + 1)(mutable.ArrayBuffer[Int]())
 
     if (entryPoint < 0) { entryPoint = node; topLevel = level; return }
 
-    var ep = entryPoint
-    var lc = topLevel
-    // descend greedily through layers above the new node's level
-    while (lc > level) {
-      var improved = true
-      var best = ep
-      var bestD = dist(best, vecs(node))
-      while (improved) {
-        improved = false
-        for (nb <- links(best)(lc)) {
-          val d = dist(nb, vecs(node))
-          if (d < bestD) { bestD = d; best = nb; improved = true }
-        }
-      }
-      ep = best
-      lc -= 1
-    }
     // connect on layers min(level, topLevel) .. 0
     var l = math.min(level, topLevel)
-    var eps = Seq(ep)
+    var eps = Seq(descend(vecs(node), level))
     while (l >= 0) {
       val found = searchLayer(vecs(node), eps, efConstruction, l)
-      val cap = if (l == 0) maxM0 else maxM
-      val neighbours = found.take(maxM).map(_._1)
+      val cap = if (l == 0) maxM0 else M
+      val neighbours = found.take(M).map(_._1)
       for (nb <- neighbours) {
         links(node)(l) += nb
         links(nb)(l) += node
@@ -140,21 +143,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   def search(q: Array[Float], k: Int, ef: Int = 64): Seq[SearchHit] = {
     if (entryPoint < 0) return Seq.empty
     val qn = VecOps.normalize(q)
-    var ep = entryPoint
-    var lc = topLevel
-    while (lc > 0) {
-      var improved = true
-      var bestD = dist(ep, qn)
-      while (improved) {
-        improved = false
-        for (nb <- links(ep)(lc)) {
-          val d = dist(nb, qn)
-          if (d < bestD) { bestD = d; ep = nb; improved = true }
-        }
-      }
-      lc -= 1
-    }
-    val found = searchLayer(qn, Seq(ep), math.max(ef, k), 0)
+    val found = searchLayer(qn, Seq(descend(qn, 0)), math.max(ef, k), 0)
     // The keep-the-closest shrink can leave a node with no in-links, which
     // no graph walk reaches; when k asks for more nodes than the walk
     // found, score the unreached ones exactly so k >= size returns them all.

@@ -66,23 +66,6 @@ final case class ProductQuantizer(
     while (p < P) { s += table(p)(codes(p)); p += 1 }
     s
   }
-
-  /** Centroid reconstruction of a code word (quantization image). */
-  def reconstruct(codes: Array[Int]): Array[Float] = {
-    val out = new Array[Float](dim)
-    var p = 0
-    while (p < P) {
-      System.arraycopy(codebooks(p)(codes(p)), 0, out, p * m, m)
-      p += 1
-    }
-    out
-  }
-
-  /** Residual of a vector against its assigned centroids (paper Alg. 1). */
-  def residual(v: Array[Float]): Array[Float] = {
-    val rec = reconstruct(encode(v))
-    Array.tabulate(dim)(i => v(i) - rec(i))
-  }
 }
 
 object ProductQuantizer {

@@ -5,7 +5,7 @@ import repro.encoder.{SemanticSpace, TextEncoder}
 import repro.index.CachedRows
 import repro.util.Rng
 import repro.vit.BBox
-import repro.video.{FrameRec, ObjRec, Scene}
+import repro.video.FrameRec
 
 /** One reranked object detection (frame + refined box + fused score). */
 final case class RerankedObject(frameId: Long, objId: Long, score: Double, box: BBox)
@@ -41,6 +41,9 @@ object CrossModalRerank {
   /** Residual weight of the image-to-text cross-attention layer. */
   val ResidualAlpha = 0.5
 
+  /** Salt of the decoder's refined-box error ([[repro.vit.BBox.noisy]]). */
+  val BoxSalt = 0xDEC0L
+
   /** Rerank one frame (pure; exposed for tests). Returns (l_s, objects).
     *
     * Image tokens are per-object fine embeddings; the image-to-text
@@ -68,21 +71,9 @@ object CrossModalRerank {
         t += 1
       }
       RerankedObject(fr.frameId, o.objId, s / textTokens.length,
-        decodeBox(o, params.boxNoise))
+        BBox.noisy(o, params.boxNoise, BoxSalt))
     }
     (objs.map(_.score).max, objs)
-  }
-
-  /** Decoder's refined box: ground-truth geometry + small noise. */
-  def decodeBox(o: ObjRec, noise: Double): BBox = {
-    val key = Rng.mix(o.objId, 0xDEC0L)
-    BBox.clamp(
-      BBox(
-        o.x + noise * o.w * Rng.gaussian(key, 1L),
-        o.y + noise * o.h * Rng.gaussian(key, 2L),
-        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
-        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
-      Scene.W, Scene.H)
   }
 
   /** Rerank the given candidate frames against the full parsed query. */

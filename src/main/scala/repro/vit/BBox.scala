@@ -1,5 +1,8 @@
 package repro.vit
 
+import repro.util.Rng
+import repro.video.{ObjRec, Scene}
+
 /** Axis-aligned bounding box (x, y = top-left corner; w, h = extent). */
 final case class BBox(x: Double, y: Double, w: Double, h: Double) {
   require(w >= 0 && h >= 0, s"negative extent: $this")
@@ -27,5 +30,22 @@ object BBox {
   def clamp(b: BBox, cw: Double, ch: Double): BBox = {
     val w = math.min(b.w, cw); val h = math.min(b.h, ch)
     BBox(math.max(0, math.min(cw - w, b.x)), math.max(0, math.min(ch - h, b.y)), w, h)
+  }
+
+  /** The shared detector-box model: an object's true box with Gaussian
+    * position and extent error of `noise` x its size, clamped to the
+    * canvas. Each detector (summary head, rerank decoder, every baseline)
+    * passes its own salt, so their errors are independent but fixed per
+    * object.
+    */
+  def noisy(o: ObjRec, noise: Double, salt: Long): BBox = {
+    val key = Rng.mix(o.objId, salt)
+    clamp(
+      BBox(
+        o.x + noise * o.w * Rng.gaussian(key, 1L),
+        o.y + noise * o.h * Rng.gaussian(key, 2L),
+        math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
+        math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L)))),
+      Scene.W, Scene.H)
   }
 }

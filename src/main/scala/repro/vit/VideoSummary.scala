@@ -2,8 +2,7 @@ package repro.vit
 
 import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, Vocab}
-import repro.util.Rng
-import repro.video.{FrameRec, ObjRec}
+import repro.video.FrameRec
 
 /** One stored vector-collection entry: a patch token with its class
   * embedding and predicted box (paper §IV-D). `patchId` is the globally
@@ -36,17 +35,6 @@ final case class SummaryParams(
   */
 object VideoSummary {
 
-  /** Predicted box = anchor-refined true box + coarse MLP noise (§IV-C). */
-  def predictBox(o: ObjRec, noise: Double): BBox = {
-    val key = Rng.mix(o.objId, 0xB0C5L)
-    val b = BBox(
-      o.x + noise * o.w * Rng.gaussian(key, 1L),
-      o.y + noise * o.h * Rng.gaussian(key, 2L),
-      math.max(2.0, o.w * (1.0 + noise * Rng.gaussian(key, 3L))),
-      math.max(2.0, o.h * (1.0 + noise * Rng.gaussian(key, 4L))))
-    BBox.clamp(b, repro.video.Scene.W, repro.video.Scene.H)
-  }
-
   /** Summarize one frame into its K patch records (pure, for tests). */
   def summarizeFrame(fr: FrameRec, params: SummaryParams): Seq[PatchRec] = {
     val assigned = PatchGrid.assign(fr.objects)
@@ -56,7 +44,8 @@ object VideoSummary {
       assigned.get(k) match {
         case Some(o) =>
           val emb = SemanticSpace.embedTokens(o.tokens, o.objId, params.sigmaVis)
-          val b = predictBox(o, params.boxNoise)
+          // predicted box = anchor-refined true box + coarse MLP noise (§IV-C)
+          val b = BBox.noisy(o, params.boxNoise, 0xB0C5L)
           PatchRec(patchId, fr.frameId, o.objId, isObject = true,
             a.x, a.y, b.x, b.y, b.w, b.h, emb)
         case None =>

@@ -4,7 +4,8 @@ import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Harness, Metrics}
 import repro.testkit.Fixtures
-import repro.video.ObjRec
+import repro.video.{FrameRec, ObjRec}
+import repro.vit.BBox
 
 class BaselinesSpec extends SparkSpec {
 
@@ -108,16 +109,37 @@ class BaselinesSpec extends SparkSpec {
            Visa.search(bell.build.frames, bell.dataset, parsed, 50))
   }
 
+  test("topKeyframeDetections reads keyframes only and ranks by score, then frame id") {
+    val s = spark
+    import s.implicits._
+    def fr(fid: Long, key: Boolean) = FrameRec("t", 0L, fid, fid, 0.9, isKey = key, Seq.empty)
+    // shuffled input; frame 2 is not a keyframe and would outscore all others
+    val frames = Seq(fr(5, key = true), fr(2, key = false), fr(4, key = true),
+      fr(3, key = true), fr(1, key = true)).toDS().repartition(3)
+    val box = BBox(0, 0, 1, 1)
+    def top(k: Int) = BaselineCommon.topKeyframeDetections(frames, k) { f =>
+      val score = f.frameId match { case 2L => 1.0; case 3L => 0.9; case _ => 0.5 }
+      Seq(Detection(f.frameId, score, box))
+    }
+    assert(top(10).map(_.frameId) == Seq(3L, 1L, 4L, 5L))
+    assert(top(10).map(_.score) == Seq(0.9, 0.5, 0.5, 0.5))
+    assert(top(2).map(_.frameId) == Seq(3L, 1L))
+    assert(top(0).isEmpty)
+  }
+
   test("detBox noise stays clamped to the canvas") {
+    // the detector salts of VOCAL, MIRIS, FiGO, ZELDA, UMT and VISA
     val o = ObjRec(1L, Seq("cls:bus"), 250, 185, 56, 26)
-    val b = BaselineCommon.detBox(o, 0.5, 0x1L)
-    assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9)
+    Seq(0x0CA1L, 0x317BL, 0xF160L, 0x2E1DAL, 0x03B7L, 0x71A5L).foreach { salt =>
+      val b = BBox.noisy(o, 0.5, salt)
+      assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9, s"salt=$salt: $b")
+    }
   }
 
   test("largestObject picks the max-area object") {
     val small = ObjRec(1L, Seq("cls:dog"), 0, 0, 10, 10)
     val big = ObjRec(2L, Seq("cls:bus"), 20, 20, 50, 25)
-    val fr = repro.video.FrameRec("t", 0, 0, 0, 0.9, isKey = true, Seq(small, big))
+    val fr = FrameRec("t", 0, 0, 0, 0.9, isKey = true, Seq(small, big))
     assert(BaselineCommon.largestObject(fr).contains(big))
     assert(BaselineCommon.largestObject(fr.copy(objects = Seq.empty)).isEmpty)
   }

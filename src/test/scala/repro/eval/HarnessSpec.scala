@@ -74,8 +74,8 @@ class HarnessSpec extends SparkSpec {
     intercept[IllegalArgumentException] { Harness.runLovo(b, "Q2.1") }
   }
 
-  test("all six baselines run and score on a planted query") {
-    for (m <- Seq("VOCAL", "MIRIS", "FiGO", "ZELDA", "UMT", "VISA")) {
+  test("all seven baselines run and score on a planted query") {
+    for (m <- Seq("VOCAL", "MIRIS", "FiGO", "ZELDA", "UMT", "VISA", "DINO")) {
       val r = Harness.runBaseline(b, m, "Q1.1")
       assert(r.method == m)
       assert(r.avep >= 0.0 && r.avep <= 1.0, s"$m avep=${r.avep}")

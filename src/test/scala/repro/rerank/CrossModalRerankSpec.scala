@@ -50,7 +50,7 @@ class CrossModalRerankSpec extends SparkSpec {
   test("decoder boxes stay near the true object (IoU > 0.5 typically)") {
     val ious = (0 until 60).map { i =>
       val o = ObjRec(i.toLong, posTokens, 100, 80, 40, 22)
-      val b = CrossModalRerank.decodeBox(o, params.boxNoise)
+      val b = repro.vit.BBox.noisy(o, params.boxNoise, CrossModalRerank.BoxSalt)
       b.iou(repro.vit.BBox(o.x, o.y, o.w, o.h))
     }
     assert(ious.count(_ > 0.5).toDouble / ious.size > 0.85)

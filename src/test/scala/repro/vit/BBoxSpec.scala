@@ -3,6 +3,7 @@ package repro.vit
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.PropertyChecks
+import repro.video.ObjRec
 
 class BBoxSpec extends AnyFunSuite with PropertyChecks {
 
@@ -72,5 +73,34 @@ class BBoxSpec extends AnyFunSuite with PropertyChecks {
       assert(c.x2 <= 256 + 1e-9 && c.y2 <= 192 + 1e-9)
       assert(c.w == math.min(b.w, 256.0) && c.h == math.min(b.h, 192.0))
     }
+  }
+
+  test("noisy boxes stay on the canvas for every salt") {
+    // summary head, rerank decoder, then the baselines' detectors
+    val salts = Seq(0xB0C5L, 0xDEC0L, 0x0CA1L, 0x317BL, 0xF160L, 0x2E1DAL, 0x03B7L, 0x71A5L)
+    val objGen: Gen[ObjRec] = for {
+      id <- Gen.chooseNum(0L, 1L << 40)
+      x <- Gen.chooseNum(0.0, 255.0)
+      y <- Gen.chooseNum(0.0, 191.0)
+      w <- Gen.chooseNum(1.0, 120.0)
+      h <- Gen.chooseNum(1.0, 120.0)
+    } yield ObjRec(id, Seq("cls:bus"), x, y, w, h)
+    // objects at the canvas edge, then random ones, under heavy noise
+    val edge = Seq(ObjRec(1L, Seq("cls:bus"), 250, 185, 56, 26),
+      ObjRec(123L, Seq("cls:bus"), 240, 180, 56, 26))
+    def onCanvas(o: ObjRec, noise: Double): Unit = salts.foreach { salt =>
+      val b = BBox.noisy(o, noise, salt)
+      assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9, s"$o salt=$salt: $b")
+      assert(b.w > 0 && b.h > 0)
+    }
+    edge.foreach(onCanvas(_, 0.5))
+    forAllGen2(objGen, Gen.chooseNum(0.0, 1.0)) { (o, noise) => onCanvas(o, noise) }
+  }
+
+  test("noisy is fixed per (object, salt) and independent across salts") {
+    val o = ObjRec(42L, Seq("cls:car"), 100, 80, 40, 22)
+    assert(BBox.noisy(o, 0.1, 0xB0C5L) == BBox.noisy(o, 0.1, 0xB0C5L))
+    assert(BBox.noisy(o, 0.1, 0xB0C5L) != BBox.noisy(o, 0.1, 0xDEC0L))
+    assert(BBox.noisy(o, 0.0, 0xB0C5L) == BBox(o.x, o.y, o.w, o.h))
   }
 }

@@ -108,7 +108,11 @@ class VideoSummarySpec extends SparkSpec {
 
   test("predictBox clamps to the canvas") {
     val o = repro.video.ObjRec(123L, Seq("cls:bus"), 240, 180, 56, 26)
-    val b = VideoSummary.predictBox(o, 0.5)
-    assert(b.x >= 0 && b.y >= 0 && b.x2 <= 256 + 1e-9 && b.y2 <= 192 + 1e-9)
+    val fr = repro.video.FrameRec("t", 0L, 0L, 0L, 0.9, isKey = true, Seq(o))
+    val recs = VideoSummary.summarizeFrame(fr, SummaryParams(boxNoise = 0.5)).filter(_.isObject)
+    assert(recs.nonEmpty)
+    recs.foreach { r =>
+      assert(r.px >= 0 && r.py >= 0 && r.px + r.pw <= 256 + 1e-9 && r.py + r.ph <= 192 + 1e-9)
+    }
   }
 }
