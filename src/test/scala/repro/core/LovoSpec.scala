@@ -137,6 +137,13 @@ class LovoSpec extends SparkSpec {
     assertNarrow(work)
   }
 
+  test("Lovo.buildHnsw runs exactly one narrow Spark job, with no shuffle stage") {
+    val (g, work) = SparkWork.during(spark.sparkContext)(Lovo.buildHnsw(build))
+    assert(g.size == build.counts.entries)
+    assert(work.jobs == 1, work.toString)
+    assertNarrow(work)
+  }
+
   test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
     for (v <- AnnVariant.all) {

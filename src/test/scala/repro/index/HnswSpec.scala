@@ -2,7 +2,7 @@ package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Fixtures
-import repro.util.VecOps
+import repro.util.{Rng, VecOps}
 
 class HnswSpec extends AnyFunSuite {
 
@@ -89,5 +89,41 @@ class HnswSpec extends AnyFunSuite {
   test("dimension mismatch on add is rejected") {
     val g = new HnswIndex(dim)
     intercept[IllegalArgumentException] { g.add(1L, 1L, new Array[Float](dim + 1)) }
+  }
+
+  test("dimension mismatch on search is rejected") {
+    val g = freshIndex()
+    intercept[IllegalArgumentException] { g.search(new Array[Float](dim + 1), 5) }
+    intercept[IllegalArgumentException] { g.search(new Array[Float](dim - 1), 5) }
+  }
+
+  test("the flat graph answers exactly as the reference graph") {
+    // Enough nodes that M = 4 and M = 8 both put some on layers >= 2.
+    val points = Fixtures.clusteredPatches(6, 100, dim)
+    var fallbacks = 0
+    for (seed <- Seq(3L, 7L, 11L); m <- Seq(4, 8)) {
+      val label = s"seed=$seed M=$m"
+      val flat = new HnswIndex(dim, M = m, efConstruction = 64, seed = seed)
+      val ref = new ReferenceHnswIndex(dim, M = m, efConstruction = 64, seed = seed)
+      points.foreach { p => flat.add(p.patchId, p.frameId, p.emb); ref.add(p.patchId, p.frameId, p.emb) }
+      assert(ref.maxLevel >= 2, label)
+      assert(flat.size == ref.size, label)
+      assert(flat.distComps == ref.distComps, s"$label: build")
+      // Two queries near cluster centres, two anywhere.
+      val queries = (0 until 4).map { i =>
+        val centre = Fixtures.clusterCentre(6, dim, i)
+        Array.tabulate(dim) { j =>
+          val g = Rng.gaussian(Rng.mix(seed, i.toLong), j.toLong).toFloat
+          if (i < 2) centre(j) + 0.2f * g else g
+        }
+      }
+      for ((q, qi) <- queries.zipWithIndex; k <- Seq(1, 10, points.size); ef <- Seq(8, 64)) {
+        val at = s"$label query=$qi k=$k ef=$ef"
+        assert(flat.search(q, k, ef) == ref.search(q, k, ef), at)
+        assert(flat.distComps == ref.distComps, at)
+      }
+      fallbacks += ref.fallbacks
+    }
+    assert(fallbacks > 0, "no search reached the unreached-node fallback")
   }
 }
