@@ -13,28 +13,32 @@ final case class AnnStats(
     candidates: Long,     // vectors ADC-scored (postings scanned)
     rescored: Long)       // vectors exactly rescored
 
-/** One posting of the selected cells with its ADC and exact scores. */
-private[index] final case class ScoredPosting(patchId: Long, frameId: Long, adc: Double, exact: Double)
+/** Selected postings with their ADC and exact scores, as parallel arrays. */
+private final case class ScoredPostings(
+    patchIds: Array[Long], frameIds: Array[Long], adc: Array[Double], exact: Array[Double])
 
 /** Approximate nearest-neighbor search over the inverted multi-index —
   * the paper's Algorithm 1 as a driver-planned distributed lookup.
   *
   * 1. Partition the (unit-normalized) query into P subvectors; build the
   *    ADC lookup table q_p · centroid (lines 1–5).
-  * 2. Rank the populated cells of the driver-side directory by their
-  *    summed LUT score and visit them best-first (the multi-sequence
-  *    order) until an nprobe-style fraction of the collection is covered.
-  *    The top-A product set of line 6 is not applied (see the inline note).
-  * 3. One narrow Spark pass over the cached postings ([[CachedRows.scan]],
-  *    planned once per index) reads each row's cell id, keeps the entries
-  *    of the selected cells and scores each with the LUT sum (lines 8–12)
-  *    and the exact inner product; only those entries' codes and
-  *    embeddings are decoded. No shuffle, one task per core.
-  * 4. On the driver, keep the best max(rescoreFactor * k, scanned/4)
-  *    candidates by ADC score, then return the top-k of those by exact
-  *    score (lines 13–17; ties broken by patch id for determinism). Every
-  *    hit is one stored vector with its own patch id, so line 16's
-  *    patch-id vote over per-subspace components has nothing to decide.
+  * 2. Score the populated cells of the driver-side directory by their
+  *    summed LUT score and select the best-first prefix (the
+  *    multi-sequence order) that covers an nprobe-style fraction of the
+  *    collection, by a linear-time selection rather than a sort. The
+  *    top-A product set of line 6 is not applied (see the inline note).
+  * 3. One narrow Spark pass over the cached posting blocks
+  *    ([[CachedRows.scan]], planned once per index) merges each block's
+  *    ascending cell ids with the ascending selected ids and scores only
+  *    the selected cells' postings, reading the block's arrays in place:
+  *    the LUT sum (lines 8–12) and the exact inner product. No shuffle,
+  *    one task per core.
+  * 4. On the driver, select the best max(rescoreFactor * k, scanned/4)
+  *    candidates by ADC score, then the top-k of those by exact score
+  *    (lines 13–17; ties broken by patch id for determinism), and sort only
+  *    those k. Every hit is one stored vector with its own patch id, so
+  *    line 16's patch-id vote over per-subspace components has nothing to
+  *    decide.
   */
 object AnnSearch {
 
@@ -63,50 +67,138 @@ object AnnSearch {
     // preempt the budget destroys recall. The budget itself follows the
     // paper's w/o-ANNS fast-search deltas (0.06 s vs 0.15 s on
     // Cityscapes): an effective scan of ~1/8 of the stored vectors.
-    val ordered = bestFirst(cellScores, cellIds)
     val minCover = math.max(rescoreFactor.toLong * k,
       math.ceil(index.total * scanFraction).toLong)
+    val cellPos = Array.range(0, cellIds.length)
+    val nSelected = bestCover(cellScores, cellIds, cellPos, counts(_), minCover)
+    // The selected ids in ascending order: cellIds is sorted, so a mask
+    // over directory positions lists them without a sort.
+    val mask = new Array[Boolean](cellIds.length)
     var covered = 0L
-    var nSelected = 0
-    while (nSelected < ordered.length && covered < minCover) {
-      covered += counts(ordered(nSelected))
-      nSelected += 1
-    }
-    val selected = ordered.take(nSelected).map(c => cellIds(c))
-    java.util.Arrays.sort(selected)
+    for (i <- 0 until nSelected) { mask(cellPos(i)) = true; covered += counts(cellPos(i)) }
+    val selected = new Array[Long](nSelected)
+    var nListed = 0
+    for (i <- cellIds.indices if mask(i)) { selected(nListed) = cellIds(i); nListed += 1 }
 
-    // One pass over the cached postings: keep the selected cells' entries
-    // and score each by ADC (cheap LUT sum) and exactly (lines 8–15). The
-    // cell id is read first, so only the selected entries' codes and
-    // embeddings are copied out of the row.
-    val col = CachedRows.column(index.entries, _: String)
-    val (cellCol, patchCol, frameCol) = (col("cellId"), col("patchId"), col("frameId"))
-    val (codesCol, embCol) = (col("codes"), col("emb"))
-    val scanned = CachedRows.scan(index.entries, "ann_search")(_.collect {
-      case r if java.util.Arrays.binarySearch(selected, r.getLong(cellCol)) >= 0 =>
-        ScoredPosting(r.getLong(patchCol), r.getLong(frameCol),
-          pq.adcScore(table, r.getArray(codesCol).toIntArray()),
-          VecOps.dot(qn, r.getArray(embCol).toFloatArray()))
-    })
+    val scored = scoreSelected(index, selected, table, qn)
+    val (pids, fids, adcs, exacts) = (scored.patchIds, scored.frameIds, scored.adc, scored.exact)
 
     // The exact-rescore depth scales with the scan (ADC ordering is a weak
     // ranker on near-parallel embeddings, so a fixed multiple of k would
     // starve recall as the collection grows).
-    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
-    val rescored = bestFirst(scanned.map(_.adc), scanned.map(_.patchId))
-      .take(rescoreDepth).map(j => scanned(j))
-    val exact = bestFirst(rescored.map(_.exact), rescored.map(_.patchId))
-      .take(k)
-      .map { j => val e = rescored(j); SearchHit(e.patchId, e.frameId, e.exact) }
+    val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4)
+    val pos = Array.range(0, pids.length)
+    val nRescored = bestCover(adcs, pids, pos, _ => 1L, rescoreDepth)
+    val top = java.util.Arrays.copyOf(pos, nRescored)
+    val nTop = bestCover(exacts, pids, top, _ => 1L, k.toLong)
+    val topScores = Array.tabulate(nTop)(i => exacts(top(i)))
+    val exact = bestFirst(topScores, Array.tabulate(nTop)(i => pids(top(i))))
+      .map { i => val j = top(i); SearchHit(pids(j), fids(j), exacts(j)) }
       .toSeq
 
     val stats = AnnStats(
       lutDots = pq.P.toLong * pq.M,
       cellsScored = cellIds.length,
-      cellsSelected = selected.length,
+      cellsSelected = nSelected,
       candidates = covered,
-      rescored = rescored.length)
+      rescored = nRescored)
     (exact, stats)
+  }
+
+  /** One pass over the cached posting blocks: a merge walk of each block's
+    * ascending cells against the ascending `selected` ids visits only the
+    * selected cells' postings and scores each by ADC (cheap LUT sum) and
+    * exactly (lines 8–15), summed in the order of pq.adcScore and
+    * VecOps.dot. The block's arrays are read in place.
+    */
+  private def scoreSelected(index: InvertedMultiIndex, selected: Array[Long],
+                            table: Array[Array[Double]], qn: Array[Float]): ScoredPostings = {
+    val col = CachedRows.column(index.entries, _: String)
+    val (cellsCol, startCol, patchCol, frameCol) = (col("cells"), col("start"), col("patchIds"), col("frameIds"))
+    val (codesCol, embsCol) = (col("codes"), col("embs"))
+    val (nSub, dim) = (index.pq.P, index.pq.dim)
+    val parts = CachedRows.scan(index.entries, "ann_search") { rows =>
+      val (pids, fids) = (Array.newBuilder[Long], Array.newBuilder[Long])
+      val (adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double])
+      for (r <- rows) {
+        val (cells, start) = (r.getArray(cellsCol), r.getArray(startCol))
+        val (patchIds, frameIds) = (r.getArray(patchCol), r.getArray(frameCol))
+        val (codes, embs) = (r.getBinary(codesCol), r.getArray(embsCol))
+        val nCells = cells.numElements()
+        var c = 0
+        var s = 0
+        while (c < nCells && s < selected.length) {
+          val cell = cells.getLong(c)
+          if (cell < selected(s)) c += 1
+          else if (cell > selected(s)) s += 1
+          else {
+            var j = start.getInt(c)
+            while (j < start.getInt(c + 1)) {
+              pids += patchIds.getLong(j)
+              fids += frameIds.getLong(j)
+              var adc = 0.0
+              var p = 0
+              while (p < nSub) { adc += table(p)(codes(j * nSub + p) & 0xFF); p += 1 }
+              adcs += adc
+              var exact = 0.0
+              var i = 0
+              while (i < dim) { exact += qn(i).toDouble * embs.getFloat(j * dim + i); i += 1 }
+              exacts += exact
+              j += 1
+            }
+            c += 1
+            s += 1
+          }
+        }
+      }
+      Iterator(ScoredPostings(pids.result(), fids.result(), adcs.result(), exacts.result()))
+    }
+    val all = parts.toSeq
+    ScoredPostings(Array.concat(all.map(_.patchIds): _*), Array.concat(all.map(_.frameIds): _*),
+      Array.concat(all.map(_.adc): _*), Array.concat(all.map(_.exact): _*))
+  }
+
+  /** Whether position `a` comes before `b` in (score desc, id asc) order,
+    * scores compared as `-score` under `java.lang.Double.compare`.
+    */
+  private def before(scores: Array[Double], ids: Array[Long], a: Int, b: Int): Boolean = {
+    val c = java.lang.Double.compare(-scores(a), -scores(b))
+    c < 0 || (c == 0 && ids(a) < ids(b))
+  }
+
+  /** Weighted selection of a best-first prefix: reorders the positions in
+    * `pos` so that its first n entries, n returned, are the shortest
+    * prefix of `pos` in (score desc, id asc) order whose weights sum to at
+    * least `cover` (all of `pos` when they sum to less), in no particular
+    * order. A quickselect with seeded random pivots, so expected
+    * O(pos.length); ids must be distinct among `pos` for the prefix to be
+    * unique.
+    */
+  private[index] def bestCover(scores: Array[Double], ids: Array[Long], pos: Array[Int],
+                               weight: Int => Long, cover: Long): Int = {
+    def swap(i: Int, j: Int): Unit = { val t = pos(i); pos(i) = pos(j); pos(j) = t }
+    val rng = new java.util.SplittableRandom(pos.length.toLong)
+    var lo = 0
+    var hi = pos.length
+    var need = cover
+    // Invariant: pos(0 until lo) is in the prefix and weighs cover - need;
+    // pos(hi until length) is not; the prefix ends inside [lo, hi).
+    while (lo < hi && need > 0) {
+      swap(lo + rng.nextInt(hi - lo), hi - 1)
+      val pivot = pos(hi - 1)
+      // pos(lo until m) comes before the pivot and weighs w
+      var m = lo
+      var w = 0L
+      var i = lo
+      while (i < hi - 1) {
+        if (before(scores, ids, pos(i), pivot)) { swap(i, m); w += weight(pos(m)); m += 1 }
+        i += 1
+      }
+      swap(m, hi - 1)
+      if (w >= need) hi = m
+      else { need -= w + weight(pivot); lo = m + 1 }
+    }
+    lo
   }
 
   /** Positions `0 until scores.length` ordered by (score desc, id asc) —
@@ -116,10 +208,6 @@ object AnnSearch {
     */
   private[index] def bestFirst(scores: Array[Double], ids: Array[Long]): Array[Int] = {
     val n = scores.length
-    def before(a: Int, b: Int): Boolean = {
-      val c = java.lang.Double.compare(-scores(a), -scores(b))
-      c < 0 || (c == 0 && ids(a) < ids(b))
-    }
     var src = Array.range(0, n)
     var dst = new Array[Int](n)
     var width = 1
@@ -130,7 +218,7 @@ object AnnSearch {
         val hi = math.min(lo + 2 * width, n)
         var i = lo; var j = mid; var o = lo
         while (o < hi) {
-          if (j >= hi || (i < mid && !before(src(j), src(i)))) { dst(o) = src(i); i += 1 }
+          if (j >= hi || (i < mid && !before(scores, ids, src(j), src(i)))) { dst(o) = src(i); i += 1 }
           else { dst(o) = src(j); j += 1 }
           o += 1
         }

@@ -4,18 +4,22 @@ import org.apache.spark.sql.functions.col
 import repro.util.VecOps
 
 /** Exhaustive exact scan — the w/o-ANNS ablation (Table IV) and the
-  * LOVO(BF) variant (Table V). Scores every stored vector with the exact
-  * inner product in a distributed map, then takes the global top-k.
+  * LOVO(BF) variant (Table V). Flattens the posting blocks and scores every
+  * stored vector with the exact inner product in a distributed map, then
+  * takes the global top-k with a SQL `orderBy`/`limit`.
   */
 object BruteForce {
 
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int): (Seq[SearchHit], AnnStats) = {
     require(k > 0, "k must be positive")
+    require(q.length == index.pq.dim, s"expected query dim ${index.pq.dim}, got ${q.length}")
     val qn = VecOps.normalize(q)
+    val dim = qn.length
     val spark = index.entries.sparkSession
     import spark.implicits._
     val hits = index.entries
-      .map(e => (e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
+      .flatMap(b => b.patchIds.indices.map(j => (b.patchIds(j), b.frameIds(j),
+        VecOps.dot(qn, java.util.Arrays.copyOfRange(b.embs, j * dim, (j + 1) * dim)))))
       .toDF("patchId", "frameId", "score")
       .orderBy(col("score").desc, col("patchId"))
       .limit(k)

@@ -376,17 +376,22 @@ object Hnsw {
 
   /** Build from the stored index entries in patch-id order (a
     * deterministic insert order), reading only the id and embedding
-    * columns in one narrow scan of the cached entries.
+    * arrays of the posting blocks in one narrow scan of the cached entries.
     */
   def build(index: InvertedMultiIndex, m: Int = 8, efConstruction: Int = 64,
             seed: Long = 7L): HnswIndex = {
     val col = CachedRows.column(index.entries, _: String)
-    val (patchCol, frameCol, embCol) = (col("patchId"), col("frameId"), col("emb"))
-    val rows = CachedRows.scan(index.entries, "hnsw_build")(_.map(r =>
-      (r.getLong(patchCol), r.getLong(frameCol), r.getArray(embCol).toFloatArray())))
-      .sortBy(_._1)
-    val g = new HnswIndex(index.pq.dim, m, efConstruction, seed)
-    rows.foreach { case (pid, fid, v) => g.add(pid, fid, v) }
+    val (patchCol, frameCol, embsCol) = (col("patchIds"), col("frameIds"), col("embs"))
+    val blocks = CachedRows.scan(index.entries, "hnsw_build")(_.map(r =>
+      (r.getArray(patchCol).toLongArray(), r.getArray(frameCol).toLongArray(),
+        r.getArray(embsCol).toFloatArray()))).toSeq
+    val pids = Array.concat(blocks.map(_._1): _*)
+    val fids = Array.concat(blocks.map(_._2): _*)
+    val embs = Array.concat(blocks.map(_._3): _*)
+    val dim = index.pq.dim
+    val g = new HnswIndex(dim, m, efConstruction, seed)
+    for (j <- pids.indices.sortBy(pids))
+      g.add(pids(j), fids(j), java.util.Arrays.copyOfRange(embs, j * dim, (j + 1) * dim))
     g
   }
 

@@ -4,28 +4,42 @@ import org.apache.spark.sql.{Dataset, functions => F}
 import repro.pq.ProductQuantizer
 import repro.vit.PatchRec
 
-/** One vector-database entry: PQ codes address the multi-index cell, the
-  * raw embedding is retained for exact rescoring (paper Alg. 1 line 14).
+/** The postings of one index partition, sorted by cell and addressable by
+  * cell: posting `j` lies in cell `cells(c)` for `start(c) <= j <
+  * start(c + 1)`, and within a cell the postings are in patch-id order.
+  *
+  * @param cells    the partition's populated cell ids, strictly ascending
+  * @param start    posting offsets of the cells, `cells.length + 1` long,
+  *                 ending at the posting count n
+  * @param patchIds patch id of each posting
+  * @param frameIds frame id of each posting
+  * @param codes    the P PQ codes of posting `j` at `j * P until (j + 1) * P`,
+  *                 each an unsigned byte
+  * @param embs     the fp32 embedding of posting `j` at `j * D' until
+  *                 (j + 1) * D'`, kept for the exact rescore (paper Alg. 1
+  *                 line 14)
   */
-final case class IndexedVec(
-    patchId: Long,
-    frameId: Long,
-    codes: Array[Int],
-    cellId: Long,
-    emb: Array[Float])
+final case class PostingBlock(
+    cells: Array[Long],
+    start: Array[Int],
+    patchIds: Array[Long],
+    frameIds: Array[Long],
+    codes: Array[Byte],
+    embs: Array[Float])
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
   *
-  * Entries live in a cached Spark Dataset partitioned by cell id — the
-  * distributed analogue of per-cell posting lists. A driver-side cell
-  * directory (cell id -> posting count) lets the query planner pick
-  * candidate cells without touching the data. The postings are not
-  * addressable by cell, so a query still reads every cached entry once
-  * and keeps those of the selected cells; ADC and the exact rescore then
-  * run on the selected cells' postings only.
+  * Entries live in a cached Spark Dataset with one [[PostingBlock]] per
+  * partition of the cell-id hash partitioning: the distributed analogue of
+  * per-cell posting lists, each partition's lists packed cell by cell into
+  * primitive arrays. A driver-side cell directory (cell id -> posting
+  * count) lets the query planner pick candidate cells without touching the
+  * data, and a query then reads only the selected cells' postings of each
+  * block (a merge walk of its sorted cell ids), so ADC and the exact
+  * rescore run on those postings only.
   */
 final case class InvertedMultiIndex(
-    entries: Dataset[IndexedVec],
+    entries: Dataset[PostingBlock],
     pq: ProductQuantizer,
     cellDirectory: Map[Long, Long],
     total: Long) {
@@ -48,20 +62,52 @@ final case class InvertedMultiIndex(
 
 object InvertedMultiIndex {
 
-  /** Index-build batch job: encode every patch embedding, key by cell. */
+  /** Index-build batch job: encode every patch embedding, hash-partition
+    * the postings by cell (the one shuffle), sort each partition by (cell,
+    * patch id) and pack it into a [[PostingBlock]]. The cell directory
+    * comes from the cached blocks in one narrow collect.
+    */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
             nPartitions: Int = 16): InvertedMultiIndex = {
+    require(pq.M <= 256, s"codes are stored as bytes, so M=${pq.M} must be at most 256")
     val spark = patches.sparkSession
     import spark.implicits._
     val entries = patches
-      .map { p =>
-        val codes = pq.encode(p.emb)
-        IndexedVec(p.patchId, p.frameId, codes, pq.cellId(codes), p.emb)
-      }
+      .map(p => (pq.cellId(pq.encode(p.emb)), p.patchId, p.frameId, p.emb))
+      .toDF("cellId", "patchId", "frameId", "emb")
       .repartition(nPartitions, F.col("cellId"))
+      .sortWithinPartitions("cellId", "patchId")
+      .as[(Long, Long, Long, Array[Float])]
+      .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq)) else Iterator.empty)
       .cache()
-    val directory = entries.groupBy($"cellId").count()
-      .as[(Long, Long)].collect().toMap
+    val col = CachedRows.column(entries, _: String)
+    val (cellsCol, startCol) = (col("cells"), col("start"))
+    val directory = CachedRows.scan(entries, "index_directory")(_.map { r =>
+      (r.getArray(cellsCol).toLongArray(), r.getArray(startCol).toIntArray())
+    }).iterator.flatMap { case (cells, start) =>
+      cells.indices.iterator.map(c => cells(c) -> (start(c + 1) - start(c)).toLong)
+    }.toMap
     InvertedMultiIndex(entries, pq, directory, directory.values.sum)
+  }
+
+  /** Packs postings sorted by (cell, patch id) into a block. */
+  private def pack(rows: Array[(Long, Long, Long, Array[Float])], pq: ProductQuantizer): PostingBlock = {
+    val (n, p, d) = (rows.length, pq.P, pq.dim)
+    val cells = Array.newBuilder[Long]
+    val start = Array.newBuilder[Int]
+    val codes = new Array[Byte](n * p)
+    val embs = new Array[Float](n * d)
+    var cellCodes: Array[Int] = null
+    for (((cell, _, _, emb), j) <- rows.iterator.zipWithIndex) {
+      if (j == 0 || cell != rows(j - 1)._1) {
+        cells += cell
+        start += j
+        cellCodes = pq.decodeCell(cell)
+      }
+      for (i <- 0 until p) codes(j * p + i) = cellCodes(i).toByte
+      System.arraycopy(emb, 0, embs, j * d, d)
+    }
+    start += n
+    PostingBlock(cells.result(), start.result(), rows.map(_._2), rows.map(_._3), codes, embs)
   }
 }

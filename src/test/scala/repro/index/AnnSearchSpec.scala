@@ -1,12 +1,13 @@
 package repro.index
 
 import org.apache.spark.sql.functions.col
+import org.scalacheck.Gen
 import repro.SparkSpec
 import repro.pq.ProductQuantizer
-import repro.testkit.Fixtures
+import repro.testkit.{Fixtures, PropertyChecks}
 import repro.util.{Rng, VecOps}
 
-class AnnSearchSpec extends SparkSpec {
+class AnnSearchSpec extends SparkSpec with PropertyChecks {
 
   private val nClusters = 6
   private val dim = 32
@@ -21,7 +22,7 @@ class AnnSearchSpec extends SparkSpec {
   test("hit scores are exact inner products with the stored vectors") {
     val q = Fixtures.clusterCentre(nClusters, dim, 0)
     val (hits, _) = AnnSearch.search(index, q, k = 10)
-    val byId = index.entries.collect().map(e => e.patchId -> e.emb).toMap
+    val byId = PostingRows.flatten(index).collect().map(e => e.patchId -> e.emb).toMap
     for (h <- hits)
       assert(math.abs(h.score - VecOps.dot(VecOps.normalize(q), byId(h.patchId))) < 1e-6)
   }
@@ -48,7 +49,7 @@ class AnnSearchSpec extends SparkSpec {
     val q = Fixtures.clusterCentre(nClusters, dim, 3)
     val (hits, _) = AnnSearch.search(index, q, k = 20)
     // objId stores the cluster id in the fixture
-    val byId = index.entries.collect().map(e => e.patchId -> e.patchId / 80).toMap
+    val byId = PostingRows.flatten(index).collect().map(e => e.patchId -> e.patchId / 80).toMap
     val frac = hits.count(h => byId(h.patchId) == 3).toDouble / hits.size
     assert(frac >= 0.8, s"cluster purity $frac")
   }
@@ -107,7 +108,7 @@ class AnnSearchSpec extends SparkSpec {
     val cellSet = selected.result()
     import spark.implicits._
     val cellsDf = spark.createDataset(cellSet).toDF("cellId")
-    val fetched = index.entries.join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
+    val fetched = PostingRows.flatten(index).join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
     val approx = fetched
       .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.emb))
@@ -156,6 +157,44 @@ class AnnSearchSpec extends SparkSpec {
       val ids = Array.tabulate(n)(i => Rng.int(seed, 1000L + i, 10 * n + 1).toLong)
       val want = (0 until n).sortBy(i => (-scores(i), ids(i)))
       assert(AnnSearch.bestFirst(scores, ids).toSeq == want, s"seed=$seed n=$n")
+    }
+  }
+
+  test("bestCover selects the bestFirst prefix that reaches the cover, by weight or by count") {
+    // n scores from a few distinct values (forced exact ties, -0.0 vs 0.0),
+    // distinct ids, positive directory-count weights.
+    val cases = for {
+      n <- Gen.choose(0, 400)
+      levels <- Gen.choose(1, 6)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val scores = Array.tabulate(n) { i =>
+        val s = (Rng.int(seed, i.toLong, levels) - 2) * 0.25
+        if (s == 0.0 && i % 3 == 0) -0.0 else s
+      }
+      val ids = (0L to 10L * n).sortBy(Rng.mix(seed, _)).take(n).toArray
+      val weights = Array.tabulate(n)(i => 1L + Rng.int(seed, 5000L + i, 4))
+      (scores, ids, weights)
+    }
+    def oracle(order: Array[Int], weight: Int => Long, cover: Long): Set[Int] = {
+      var covered = 0L
+      order.takeWhile { j => val take = covered < cover; covered += weight(j); take }.toSet
+    }
+    forAllGen(cases, n = 200) { case (scores, ids, weights) =>
+      // All positions, and a subset of them in reverse order.
+      for (among <- Seq(scores.indices.toArray, scores.indices.reverse.filter(_ % 2 == 0).toArray);
+           weight <- Seq[Int => Long](weights(_), _ => 1L)) {
+        val order = AnnSearch.bestFirst(scores, ids).filter(among.contains)
+        val sum = order.map(weight).sum
+        val prefixSum = order.take(order.length / 2).map(weight).sum
+        for (cover <- Seq(0L, 1L, sum / 3, prefixSum, sum, sum + 7)) {
+          val pos = among.clone()
+          val n = AnnSearch.bestCover(scores, ids, pos, weight, cover)
+          assert(pos.sorted.toSeq == among.sorted.toSeq, "pos must stay a permutation")
+          assert(pos.take(n).toSet == oracle(order, weight, cover),
+            s"n=${scores.length} among=${among.length} cover=$cover of $sum")
+        }
+      }
     }
   }
 

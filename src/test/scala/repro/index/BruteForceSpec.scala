@@ -19,7 +19,7 @@ class BruteForceSpec extends SparkSpec {
     val q = Fixtures.clusterCentre(4, 32, 1)
     val qn = VecOps.normalize(q)
     val (hits, _) = BruteForce.search(index, q, k = 25)
-    val expected = index.entries.collect()
+    val expected = PostingRows.flatten(index).collect()
       .map(e => SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
       .sortBy(h => (-h.score, h.patchId))
       .take(25).toSeq
@@ -38,7 +38,7 @@ class BruteForceSpec extends SparkSpec {
     import org.apache.spark.sql.functions._
     val q = Fixtures.clusterCentre(4, 32, 2)
     val qn = VecOps.normalize(q)
-    val scored = index.entries
+    val scored = PostingRows.flatten(index)
       .map(e => (e.patchId, math.rint(VecOps.dot(qn, e.emb) * 1e6) / 1e6))
       .toDF("patchId", "score").cache()
     val sparkTop = scored
@@ -60,5 +60,10 @@ class BruteForceSpec extends SparkSpec {
     val (hits, _) = BruteForce.search(index, Fixtures.clusterCentre(4, 32, 3),
       k = index.total.toInt * 2)
     assert(hits.size == index.total)
+  }
+
+  test("dimension mismatch on search is rejected") {
+    intercept[IllegalArgumentException] { BruteForce.search(index, new Array[Float](pq.dim + 1), k = 5) }
+    intercept[IllegalArgumentException] { BruteForce.search(index, new Array[Float](pq.dim - 1), k = 5) }
   }
 }

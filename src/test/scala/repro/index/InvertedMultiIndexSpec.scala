@@ -2,7 +2,7 @@ package repro.index
 
 import repro.{Oracle, SparkSpec}
 import repro.pq.ProductQuantizer
-import repro.testkit.Fixtures
+import repro.testkit.{Fixtures, SparkWork}
 
 class InvertedMultiIndexSpec extends SparkSpec {
 
@@ -13,6 +13,7 @@ class InvertedMultiIndexSpec extends SparkSpec {
   private lazy val pq = ProductQuantizer.train(
     { import spark.implicits._; patches.map(_.emb).rdd }, P = 4, m = 8, M = 8, iters = 5)
   private lazy val index = InvertedMultiIndex.build(patches, pq, nPartitions = 4)
+  private lazy val blocks = index.entries.collect()
 
   test("total equals the number of stored vectors") {
     assert(index.total == patches.count())
@@ -25,9 +26,39 @@ class InvertedMultiIndexSpec extends SparkSpec {
   }
 
   test("entries' codes match pq.encode of their embedding") {
-    val sample = index.entries.take(100)
-    assert(sample.forall(e => e.codes.toSeq == pq.encode(e.emb).toSeq))
-    assert(sample.forall(e => e.cellId == pq.cellId(e.codes)))
+    val (p, d) = (pq.P, pq.dim)
+    for (b <- blocks; j <- b.patchIds.indices) {
+      val emb = b.embs.slice(j * d, (j + 1) * d)
+      val codes = b.codes.slice(j * p, (j + 1) * p).map(_ & 0xFF)
+      assert(codes.toSeq == pq.encode(emb).toSeq, s"patch ${b.patchIds(j)}")
+    }
+  }
+
+  test("every patch appears in exactly one block, with its frame and embedding") {
+    val stored = blocks.flatMap(b => b.patchIds.indices.map(j =>
+      b.patchIds(j) -> (b.frameIds(j), b.embs.slice(j * pq.dim, (j + 1) * pq.dim).toSeq)))
+    val want = Fixtures.clusteredPatches(6, 80, 32).map(p => p.patchId -> (p.frameId, p.emb.toSeq))
+    assert(stored.length == want.size)
+    assert(stored.toMap == want.toMap)
+  }
+
+  test("each block's cells ascend strictly, its offsets are monotone, and a cell's postings ascend by patch id") {
+    assert(blocks.nonEmpty && blocks.length <= 4)
+    for (b <- blocks) {
+      val n = b.patchIds.length
+      assert(b.cells.nonEmpty)
+      assert(b.cells.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))
+      assert(b.start.length == b.cells.length + 1 && b.start.head == 0 && b.start.last == n)
+      assert(b.start.sliding(2).forall(w => w(0) < w(1)), "every listed cell holds a posting")
+      assert(b.frameIds.length == n && b.codes.length == n * pq.P && b.embs.length == n * pq.dim)
+      for (c <- b.cells.indices) {
+        val ids = b.patchIds.slice(b.start(c), b.start(c + 1))
+        assert(ids.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))
+        assert(ids.length == index.cellDirectory(b.cells(c)))
+      }
+    }
+    // A cell lives in one block only.
+    assert(blocks.flatMap(_.cells).distinct.length == index.nCells)
   }
 
   test("clustered vectors concentrate into few cells") {
@@ -41,20 +72,60 @@ class InvertedMultiIndexSpec extends SparkSpec {
 
   test("posting-list sizes match a DuckDB GROUP BY (oracle)") {
     import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val entriesDf = index.entries.toDF
-      .select($"cellId".cast("string") as "cellId", $"patchId".cast("string") as "patchId")
-    val sparkCounts = index.entries.toDF.groupBy($"cellId").count()
-      .select($"cellId".cast("string") as "cellId", $"count".cast("string") as "n")
+    // The oracle groups the patches by the cell pq.encode gives them; the
+    // directory under test comes from the posting blocks.
+    val quantizer = pq
+    val patchCells = patches
+      .map(p => (quantizer.cellId(quantizer.encode(p.emb)).toString, p.patchId.toString))
+      .toDF("cellId", "patchId")
+    val directory = index.cellDirectory.toSeq
+      .map { case (cell, n) => (cell.toString, n.toString) }
+      .toDF("cellId", "n")
     Oracle.assertEquivalent(
-      sparkCounts,
+      directory,
       "SELECT cellId, CAST(COUNT(*) AS VARCHAR) AS n FROM entries GROUP BY cellId",
-      "entries" -> entriesDf)
+      "entries" -> patchCells)
   }
 
   test("build is deterministic") {
     val again = InvertedMultiIndex.build(patches, pq, nPartitions = 4)
     assert(again.cellDirectory == index.cellDirectory)
     assert(again.total == index.total)
+    assert(again.entries.collect().map(_.patchIds.toSeq).toSet == blocks.map(_.patchIds.toSeq).toSet)
+    again.entries.unpersist()
+  }
+
+  test("build and its directory collect run exactly one shuffle stage") {
+    patches.count() // the input is cached before the build is counted
+    val (again, work) = SparkWork.during(spark.sparkContext)(InvertedMultiIndex.build(patches, pq, nPartitions = 4))
+    assert(again.total == index.total)
+    // One exchange (the repartition by cell): the stage that writes it and
+    // the stage that reads it; the directory collect reads the cache.
+    assert(work.shuffleMapStages == 1, work.toString)
+    assert(work.shuffleStages == 2, work.toString)
+    again.entries.unpersist()
+  }
+
+  test("more partitions than entries leaves some empty, and every variant still answers k >= entries") {
+    import spark.implicits._
+    val few = spark.createDataset(Fixtures.clusteredPatches(2, 3, 32)).cache()
+    val small = InvertedMultiIndex.build(few, pq, nPartitions = 16)
+    val n = small.total.toInt
+    assert(n == 6)
+    assert(small.entries.count() < 16, "some partitions hold no posting and yield no block")
+    val q = Fixtures.clusterCentre(2, 32, 0)
+    val g = Hnsw.build(small)
+    assert(g.size == n)
+    for (k <- Seq(n, n + 5)) {
+      val (bf, _) = BruteForce.search(small, q, k)
+      val (ivf, stats) = AnnSearch.search(small, q, k)
+      val (hnsw, _) = Hnsw.search(g, q, k)
+      assert(bf.size == n && ivf.size == n && hnsw.size == n, s"k=$k")
+      assert(ivf == bf, s"k=$k: scanning every cell, IVF-PQ is exact")
+      assert(hnsw.map(_.patchId).toSet == bf.map(_.patchId).toSet, s"k=$k")
+      assert(stats.candidates == n && stats.cellsSelected == small.nCells, s"k=$k")
+    }
+    small.entries.unpersist()
+    few.unpersist()
   }
 }

@@ -10,11 +10,13 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
   *
   * @param tasksPerJob    tasks run by each job, in job-start order
   * @param shuffleStages  stages that wrote or read shuffle data
+  * @param shuffleMapStages stages that wrote shuffle output, one per
+  *                       exchange run
   * @param sqlExecutions  SQL executions started
   * @param jobsOutsideSql jobs that ran outside every SQL execution the
   *                       call started; their scans report no SQL row metrics
   */
-final case class SparkWork(tasksPerJob: Seq[Int], shuffleStages: Int,
+final case class SparkWork(tasksPerJob: Seq[Int], shuffleStages: Int, shuffleMapStages: Int,
                            sqlExecutions: Int, jobsOutsideSql: Int) {
   def jobs: Int = tasksPerJob.size
 }
@@ -40,6 +42,7 @@ object SparkWork {
     private val jobOfStage = mutable.Map[Int, Int]()
     private val tasks = mutable.LinkedHashMap[Int, Int]()
     private val shuffling = mutable.Set[Int]()
+    private val mapStages = mutable.Set[Int]()
     private val executions = mutable.Set[Long]()
     private val executionOfJob = mutable.Map[Int, Option[Long]]()
 
@@ -56,7 +59,10 @@ object SparkWork {
     }
 
     override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = synchronized {
-      if (TestInternals.isShuffleMapStage(e.stageInfo)) shuffling += e.stageInfo.stageId
+      if (TestInternals.isShuffleMapStage(e.stageInfo)) {
+        shuffling += e.stageInfo.stageId
+        mapStages += e.stageInfo.stageId
+      }
     }
 
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
@@ -67,7 +73,7 @@ object SparkWork {
     }
 
     def work: SparkWork = synchronized {
-      SparkWork(tasks.values.toSeq, shuffling.size, executions.size,
+      SparkWork(tasks.values.toSeq, shuffling.size, mapStages.size, executions.size,
         executionOfJob.values.count(!_.exists(executions)))
     }
   }
