@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.functions.{count, lit, when}
 import repro.encoder.TextEncoder
 import repro.index._
 import repro.pq.ProductQuantizer
@@ -50,18 +51,17 @@ object Lovo {
             cfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): LovoBuild = {
     import spark.implicits._
     val frames = Keyframes.select(SynthVideo.frames(spark, dataset, specs)).cache()
-    val rawFrames = frames.count()
-    val keyFrames = frames.filter(_.isKey).count()
+    val (rawFrames, keyFrames) =
+      frames.select(count(lit(1)), count(when($"isKey", true))).as[(Long, Long)].head()
     val patches = VideoSummary.summarize(frames, cfg.summary, keyOnly).cache()
-    val nEntries = patches.count()
     val pq = ProductQuantizer.train(
       patches.map(_.emb).rdd, cfg.pqSubspaces, cfg.pqSubdim, cfg.pqCentroids,
       cfg.kmeansIters)
     val index = InvertedMultiIndex.build(patches, pq, cfg.indexPartitions)
     val meta = MetadataStore.build(patches)
     LovoBuild(cfg, dataset, frames, patches, index, meta,
-      BuildCounts(rawFrames, keyFrames, nEntries, cfg.kmeansIters,
-        nEntries * VideoSummary.bytesPerEntry))
+      BuildCounts(rawFrames, keyFrames, index.total, cfg.kmeansIters,
+        index.total * VideoSummary.bytesPerEntry))
   }
 
   /** Build the HNSW variant's graph over the same stored vectors. */

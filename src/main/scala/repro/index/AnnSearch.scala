@@ -201,32 +201,10 @@ object AnnSearch {
     lo
   }
 
-  /** Positions `0 until scores.length` ordered by (score desc, id asc) —
-    * a bottom-up merge sort on primitive arrays, so ranking ~10^5 cells
-    * or candidates per query sorts no boxed keys. Scores compare as
-    * `-score` under `java.lang.Double.compare`.
+  /** Positions `0 until scores.length` ordered by (score desc, id asc),
+    * the order of [[before]]; a stable library sort, used on the final k
+    * hits only.
     */
-  private[index] def bestFirst(scores: Array[Double], ids: Array[Long]): Array[Int] = {
-    val n = scores.length
-    var src = Array.range(0, n)
-    var dst = new Array[Int](n)
-    var width = 1
-    while (width < n) {
-      var lo = 0
-      while (lo < n) {
-        val mid = math.min(lo + width, n)
-        val hi = math.min(lo + 2 * width, n)
-        var i = lo; var j = mid; var o = lo
-        while (o < hi) {
-          if (j >= hi || (i < mid && !before(scores, ids, src(j), src(i)))) { dst(o) = src(i); i += 1 }
-          else { dst(o) = src(j); j += 1 }
-          o += 1
-        }
-        lo = hi
-      }
-      val t = src; src = dst; dst = t
-      width *= 2
-    }
-    src
-  }
+  private[index] def bestFirst(scores: Array[Double], ids: Array[Long]): Array[Int] =
+    Array.range(0, scores.length).sortWith(before(scores, ids, _, _))
 }

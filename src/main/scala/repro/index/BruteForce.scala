@@ -18,8 +18,8 @@ object BruteForce {
     val spark = index.entries.sparkSession
     import spark.implicits._
     val hits = index.entries
-      .flatMap(b => b.patchIds.indices.map(j => (b.patchIds(j), b.frameIds(j),
-        VecOps.dot(qn, java.util.Arrays.copyOfRange(b.embs, j * dim, (j + 1) * dim)))))
+      .flatMap(b => b.patchIds.indices.map(j =>
+        (b.patchIds(j), b.frameIds(j), VecOps.dotAt(qn, b.embs, j * dim))))
       .toDF("patchId", "frameId", "score")
       .orderBy(col("score").desc, col("patchId"))
       .limit(k)

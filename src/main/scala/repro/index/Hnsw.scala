@@ -287,6 +287,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   /** Top-k maximum-inner-product search; returns hits descending by score. */
   def search(q: Array[Float], k: Int, ef: Int = 64): Seq[SearchHit] = {
     require(q.length == dim, s"expected dim $dim, got ${q.length}")
+    require(k > 0, "k must be positive")
     if (entryPoint < 0) return Seq.empty
     val qn = VecOps.normalize(q)
     entry(0) = descend(qn, 0, 0)

@@ -69,7 +69,9 @@ final case class ProductQuantizer(
 }
 
 object ProductQuantizer {
-  /** Train codebooks with the distributed joint Lloyd pass. */
+  /** Train codebooks with the joint Lloyd pass of [[KMeans.trainProduct]],
+    * on the driver over the collected vectors; `vecs` must not be empty.
+    */
   def train(vecs: RDD[Array[Float]], P: Int, m: Int, M: Int,
             iters: Int = 8, seed: Long = 42L): ProductQuantizer =
     ProductQuantizer(P, m, M, KMeans.trainProduct(vecs, P, m, M, iters, seed))

@@ -10,8 +10,18 @@ object VecOps {
 
   def dot(a: Array[Float], b: Array[Float]): Double = {
     require(a.length == b.length, s"dim mismatch ${a.length} vs ${b.length}")
+    dotAt(a, b, 0)
+  }
+
+  /** `a` dotted with the `a.length` floats of `b` that start at `offset`,
+    * summed in the order of [[dot]]: a vector stored inside a flat array
+    * is scored in place, without copying it out.
+    */
+  def dotAt(a: Array[Float], b: Array[Float], offset: Int): Double = {
+    require(offset >= 0 && offset + a.length <= b.length,
+      s"dim ${a.length} at offset $offset exceeds ${b.length}")
     var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i).toDouble * b(i); i += 1 }
+    while (i < a.length) { s += a(i).toDouble * b(offset + i); i += 1 }
     s
   }
 

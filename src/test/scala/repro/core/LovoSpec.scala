@@ -109,6 +109,14 @@ class LovoSpec extends SparkSpec {
       val nCands = Lovo.query(build, parsed, k.toInt, v, hnsw = hnsw).candidates.size
       assert(nCands <= k, label)
     }
+    val parsed = TextEncoder.parse(q11)
+    for (v <- AnnVariant.all) {
+      val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      withClue(s"${AnnVariant.name(v)} k=0: ") {
+        intercept[IllegalArgumentException](Lovo.fastSearch(build, parsed, 0, v, hnsw))
+        intercept[IllegalArgumentException](Lovo.query(build, parsed, 0, v, hnsw = hnsw))
+      }
+    }
   }
 
   /** At most 2 narrow jobs, one task per core, each inside a SQL execution
@@ -142,6 +150,18 @@ class LovoSpec extends SparkSpec {
     assert(g.size == build.counts.entries)
     assert(work.jobs == 1, work.toString)
     assertNarrow(work)
+  }
+
+  test("Lovo.build runs 11 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+    val (again, work) = SparkWork.during(spark.sparkContext)(
+      Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
+    try {
+      assert(again.counts == build.counts)
+      def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
+      assert(coords(again) == coords(build))
+      assert(again.index.cellDirectory == build.index.cellDirectory)
+      assert(work.jobs == 11, work.toString)
+    } finally Seq(again.frames, again.patches, again.index.entries, again.meta).foreach(_.unpersist())
   }
 
   test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {

@@ -66,6 +66,13 @@ class KMeansSpec extends SparkSpec {
     assert(e16 < e2, s"err(16)=$e16 should beat err(2)=$e2")
   }
 
+  test("an empty collection is rejected, naming it") {
+    val rdd = spark.sparkContext.parallelize(Seq.empty[Array[Float]], 2)
+    val e = intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 4, iters = 2) }
+    assert(e.getMessage.contains("empty collection"), e.getMessage)
+    intercept[IllegalArgumentException] { ProductQuantizer.train(rdd, 1, 2, 4, iters = 2) }
+  }
+
   test("iters must be positive") {
     val rdd = spark.sparkContext.parallelize(blobs(10, 1, 2), 1)
     intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 2, iters = 0) }

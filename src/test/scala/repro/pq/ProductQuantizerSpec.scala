@@ -1,6 +1,7 @@
 package repro.pq
 
 import repro.SparkSpec
+import repro.testkit.SparkWork
 import repro.util.{Rng, VecOps}
 
 class ProductQuantizerSpec extends SparkSpec {
@@ -79,6 +80,15 @@ class ProductQuantizerSpec extends SparkSpec {
     val meanResidual =
       data.map(v => VecOps.l2(v, reconstruct(pq, pq.encode(v)))).sum / data.size
     assert(meanResidual < 0.6, s"mean residual norm $meanResidual (unit vectors)")
+  }
+
+  test("training runs the same Spark jobs whatever the number of Lloyd iterations") {
+    val data = (0 until 400).map(i => Array.tabulate(8)(j => Rng.gaussian(i.toLong, j.toLong).toFloat))
+    val rdd = spark.sparkContext.parallelize(data, 4)
+    def jobs(iters: Int): Int =
+      SparkWork.during(spark.sparkContext)(ProductQuantizer.train(rdd, 4, 2, 8, iters))._2.jobs
+    val (one, eight) = (jobs(1), jobs(8))
+    assert(one == eight, s"iters=1 ran $one jobs, iters=8 ran $eight")
   }
 
   test("lut rejects wrong query dim") {

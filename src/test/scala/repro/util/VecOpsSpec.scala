@@ -83,4 +83,13 @@ class VecOpsSpec extends AnyFunSuite with PropertyChecks {
     assert(VecOps.subvector(v, 0, 2).sameElements(Array(0f, 1f)))
     assert(VecOps.subvector(v, 2, 2).sameElements(Array(4f, 5f)))
   }
+
+  test("dotAt scores a vector in place, as dot scores its copy") {
+    val flat = Array.tabulate(12)(i => Rng.gaussian(3L, i.toLong).toFloat)
+    val q = Array.tabulate(4)(i => Rng.gaussian(4L, i.toLong).toFloat)
+    for (off <- Seq(0, 5, 8))
+      assert(VecOps.dotAt(q, flat, off) == VecOps.dot(q, java.util.Arrays.copyOfRange(flat, off, off + 4)))
+    intercept[IllegalArgumentException] { VecOps.dotAt(q, flat, 9) }
+    intercept[IllegalArgumentException] { VecOps.dotAt(q, flat, -1) }
+  }
 }
