@@ -19,6 +19,11 @@ final case class BuildCounts(
 
 /** A built LOVO instance over one dataset: raw frames (the "video"),
   * the vector index, and the relational metadata store.
+  *
+  * `frames`, `index.entries` and `meta` are cached and fully loaded.
+  * `patches` is not: the build releases its cache once the index and the
+  * metadata store hold every patch, since no query reads it; reading it
+  * recomputes the summary from the cached frames.
   */
 final case class LovoBuild(
     cfg: LovoConfig,
@@ -43,6 +48,10 @@ object Lovo {
 
   /** Offline phase: generate/ingest video, select keyframes, summarize,
     * train PQ codebooks, build the inverted multi-index + metadata store.
+    * Each vector is then cached once, in the index: the index and the
+    * metadata store are loaded by their builds, so the transient patch
+    * cache is released last. Spark re-plans a dependent cache that is not
+    * yet loaded when a cache it reads is released, so the order matters.
     *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
@@ -59,6 +68,7 @@ object Lovo {
       cfg.kmeansIters)
     val index = InvertedMultiIndex.build(patches, pq, cfg.indexPartitions)
     val meta = MetadataStore.build(patches)
+    patches.unpersist(blocking = true)
     LovoBuild(cfg, dataset, frames, patches, index, meta,
       BuildCounts(rawFrames, keyFrames, index.total, cfg.kmeansIters,
         index.total * VideoSummary.bytesPerEntry))

@@ -35,6 +35,21 @@ object CachedRows {
   def decoder[T](ds: Dataset[T]): ExpressionEncoder[T] =
     encoderFor(ds.encoder).resolveAndBind(plan(ds).analyzed.output)
 
+  /** Loads every partition of the Dataset's cache that is not loaded yet,
+    * in one narrow job over the cache's own partitions (the job Spark's
+    * adaptive planner runs for a cache it meets unloaded), without
+    * scanning rows; run as a SQL execution named `name`. Runs nothing when
+    * the cache is loaded already or the Dataset is not cached.
+    */
+  def load(ds: Dataset[_], name: String): Unit = {
+    val qe = plan(ds)
+    val cached = qe.sparkSession.sharedState.cacheManager.lookupCachedData(ds.asInstanceOf[classic.Dataset[_]])
+    for (c <- cached; builder = c.cachedRepresentation.cacheBuilder if !builder.isCachedColumnBuffersLoaded)
+      SQLExecution.withNewExecutionId(qe, Some(name)) {
+        builder.cachedColumnBuffers.foreachPartition(_ => ())
+      }
+  }
+
   /** Runs `f` over each partition of the Dataset's physical rows, at
     * `defaultParallelism` tasks, and collects what it emits: one narrow
     * Spark job, run as a SQL execution named `name`, so the job still

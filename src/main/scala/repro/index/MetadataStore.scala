@@ -26,11 +26,18 @@ final case class Candidate(
 
 object MetadataStore {
 
-  /** Build the relational side of the storage module. */
+  /** Build the relational side of the storage module: a cached Dataset,
+    * loaded in full before it returns ([[CachedRows.load]], one narrow
+    * job), as the index build's directory scan loads the posting blocks.
+    * A loaded store no longer reads `patches`, so the caller may release
+    * that cache, and the first [[resolve]] finds the store ready.
+    */
   def build(patches: Dataset[PatchRec]): Dataset[PatchMeta] = {
     val spark = patches.sparkSession
     import spark.implicits._
-    patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
+    val meta = patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
+    CachedRows.load(meta, "metadata_load")
+    meta
   }
 
   /** Resolve search hits to boxes: one narrow scan of the cached store

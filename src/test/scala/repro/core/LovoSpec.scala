@@ -1,9 +1,10 @@
 package repro.core
 
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
-import repro.testkit.{Fixtures, SparkWork}
+import repro.testkit.{CachedStorage, Fixtures, SparkWork}
 import repro.vit.PatchGrid
 
 class LovoSpec extends SparkSpec {
@@ -139,9 +140,17 @@ class LovoSpec extends SparkSpec {
 
   test("an IVF-PQ fastSearch runs at most 2 narrow Spark jobs, one task per core") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
-    Lovo.fastSearch(build, parsed, k = 40) // materializes the lazily cached metadata store
+    // no warm-up call: the build returns the metadata store loaded
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(Lovo.fastSearch(build, parsed, k = 40))
     assert(cands.nonEmpty)
+    assertNarrow(work)
+  }
+
+  test("a BF fastSearch runs at most 2 narrow Spark jobs, one task per core") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    val ((cands, _), work) = SparkWork.during(spark.sparkContext)(
+      Lovo.fastSearch(build, parsed, k = 40, AnnVariant.Bf))
+    assert(cands.size == 40)
     assertNarrow(work)
   }
 
@@ -152,7 +161,7 @@ class LovoSpec extends SparkSpec {
     assertNarrow(work)
   }
 
-  test("Lovo.build runs 11 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+  test("Lovo.build runs 12 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
       Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
     try {
@@ -160,8 +169,41 @@ class LovoSpec extends SparkSpec {
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
       assert(coords(again) == coords(build))
       assert(again.index.cellDirectory == build.index.cellDirectory)
-      assert(work.jobs == 11, work.toString)
-    } finally Seq(again.frames, again.patches, again.index.entries, again.meta).foreach(_.unpersist())
+      assert(work.jobs == 12, work.toString)
+    } finally Seq(again.frames, again.index.entries, again.meta).foreach(_.unpersist())
+  }
+
+  test("Lovo.build leaves the frames, index entries and metadata store cached and loaded, and no patches") {
+    val sc = spark.sparkContext
+    val before = CachedStorage.list(sc).map(_.id).toSet
+    val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
+    val stores = Seq(again.frames, again.index.entries, again.meta)
+    try {
+      val ids = stores.map(CachedStorage.rddOf)
+      assert(ids.forall(_.isDefined), ids.toString)
+      val added = CachedStorage.list(sc).filterNot(r => before(r.id))
+      assert(added.map(_.id).toSet == ids.flatten.toSet, added.toString)
+      assert(added.forall(_.loaded), added.toString)
+      assert(again.patches.storageLevel == StorageLevel.NONE)
+    } finally stores.foreach(_.unpersist(blocking = true))
+  }
+
+  test("releasing the patch cache changes no answer and re-plans no loaded store") {
+    val queries = Seq("Q1.1", "Q1.2").map(id => TextEncoder.parse(Workloads.byId(id).text))
+    def answers() = for (parsed <- queries; v <- AnnVariant.all) yield {
+      val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+      (Lovo.fastSearch(build, parsed, k = 40, v, hnsw), Lovo.query(build, parsed, k = 40, v, hnsw = hnsw))
+    }
+    val stores = Seq(build.frames, build.index.entries, build.meta)
+    // The build as it stood before its last step, with the patch cache loaded.
+    build.patches.cache().count()
+    val (before, idsBefore) = (answers(), stores.map(CachedStorage.rddOf))
+    build.patches.unpersist(blocking = true)
+    assert(answers() == before)
+    assert(stores.map(CachedStorage.rddOf) == idsBefore, "a loaded store was re-planned")
+    val cached = CachedStorage.list(spark.sparkContext).filter(r => idsBefore.contains(Some(r.id)))
+    assert(cached.size == stores.size && cached.forall(_.loaded), cached.toString)
+    assert(build.patches.storageLevel == StorageLevel.NONE)
   }
 
   test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {

@@ -1,7 +1,7 @@
 package repro.index
 
 import repro.{Oracle, SparkSpec}
-import repro.testkit.Fixtures
+import repro.testkit.{CachedStorage, Fixtures, SparkWork}
 
 class MetadataStoreSpec extends SparkSpec {
 
@@ -13,6 +13,18 @@ class MetadataStoreSpec extends SparkSpec {
 
   test("one metadata row per patch") {
     assert(meta.count() == patches.count())
+  }
+
+  test("build returns a store with every partition loaded, in one narrow job") {
+    import spark.implicits._
+    val fresh = spark.createDataset(Fixtures.clusteredPatches(2, 30, 32))
+    val (store, work) = SparkWork.during(spark.sparkContext)(MetadataStore.build(fresh))
+    assert(work.jobs == 1 && work.shuffleStages == 0, work.toString)
+    assert(work.sqlExecutions == 1 && work.jobsOutsideSql == 0, work.toString)
+    val id = CachedStorage.rddOf(store)
+    val cached = CachedStorage.list(spark.sparkContext).filter(r => id.contains(r.id))
+    assert(cached.size == 1 && cached.head.loaded, s"$id: $cached")
+    store.unpersist(blocking = true)
   }
 
   test("resolve preserves hit order and attaches the right box") {
