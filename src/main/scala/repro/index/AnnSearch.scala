@@ -10,10 +10,10 @@ final case class AnnStats(
     lutDots: Long,        // q_p · centroid dot products (P*M)
     cellsScored: Long,    // directory cells ranked on the driver
     cellsSelected: Long,  // cells whose postings were fetched
-    candidates: Long,     // vectors ADC-scored (postings scanned)
-    rescored: Long)       // vectors exactly rescored
+    candidates: Long,     // postings in the selected cells (the scan budget)
+    rescored: Long)       // postings exactly rescored: the top by ADC
 
-/** Selected postings with their ADC and exact scores, as parallel arrays. */
+/** Scanned postings, each with its cell's ADC score and its exact score. */
 private final case class ScoredPostings(
     patchIds: Array[Long], frameIds: Array[Long], adc: Array[Double], exact: Array[Double])
 
@@ -27,18 +27,22 @@ private final case class ScoredPostings(
   *    multi-sequence order) that covers an nprobe-style fraction of the
   *    collection, by a linear-time selection rather than a sort. The
   *    top-A product set of line 6 is not applied (see the inline note).
-  * 3. One narrow Spark pass over the cached posting blocks
+  *    A cell id is the full PQ code word, so a cell's score is the ADC
+  *    score of each of its postings (lines 8–12).
+  * 3. Among the selected cells, keep those that can hold the ADC top
+  *    max(rescoreFactor * k, scanned/4): the cells scoring at least the
+  *    lowest score s* of the best-first prefix covering that depth, ties
+  *    included. One narrow Spark pass over the cached posting blocks
   *    ([[CachedRows.scan]], planned once per index) merges each block's
-  *    ascending cell ids with the ascending selected ids and scores only
-  *    the selected cells' postings, reading the block's arrays in place:
-  *    the LUT sum (lines 8–12) and the exact inner product. No shuffle,
-  *    one task per core.
-  * 4. On the driver, select the best max(rescoreFactor * k, scanned/4)
-  *    candidates by ADC score, then the top-k of those by exact score
-  *    (lines 13–17; ties broken by patch id for determinism), and sort only
-  *    those k. Every hit is one stored vector with its own patch id, so
-  *    line 16's patch-id vote over per-subspace components has nothing to
-  *    decide.
+  *    ascending cell ids with theirs and scores only their postings
+  *    exactly, reading the block's arrays in place. No shuffle, one task
+  *    per core.
+  * 4. On the driver, select that ADC top (ties broken by patch id), then
+  *    the top-k of it by exact score (lines 13–17), and sort only those k.
+  *    Every posting of another selected cell scores below s*, so this is
+  *    the top a scan of all selected cells would select. Every hit is one
+  *    stored vector with its own patch id, so line 16's patch-id vote over
+  *    per-subspace components has nothing to decide.
   */
 object AnnSearch {
 
@@ -71,22 +75,28 @@ object AnnSearch {
       math.ceil(index.total * scanFraction).toLong)
     val cellPos = Array.range(0, cellIds.length)
     val nSelected = bestCover(cellScores, cellIds, cellPos, counts(_), minCover)
-    // The selected ids in ascending order: cellIds is sorted, so a mask
-    // over directory positions lists them without a sort.
-    val mask = new Array[Boolean](cellIds.length)
-    var covered = 0L
-    for (i <- 0 until nSelected) { mask(cellPos(i)) = true; covered += counts(cellPos(i)) }
-    val selected = new Array[Long](nSelected)
-    var nListed = 0
-    for (i <- cellIds.indices if mask(i)) { selected(nListed) = cellIds(i); nListed += 1 }
-
-    val scored = scoreSelected(index, selected, table, qn)
-    val (pids, fids, adcs, exacts) = (scored.patchIds, scored.frameIds, scored.adc, scored.exact)
+    val covered = cellPos.iterator.take(nSelected).map(counts(_)).sum
 
     // The exact-rescore depth scales with the scan (ADC ordering is a weak
     // ranker on near-parallel embeddings, so a fixed multiple of k would
     // starve recall as the collection grows).
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4)
+    // Keep the selected cells scoring at least s*, the lowest score of the
+    // best-first prefix covering rescoreDepth; cells tied with s* stay in,
+    // as their postings may win the patch-id tie-break. A mask over
+    // directory positions lists the kept ids ascending (cellIds is sorted).
+    val best = java.util.Arrays.copyOf(cellPos, nSelected)
+    val nBest = bestCover(cellScores, cellIds, best, counts(_), rescoreDepth)
+    val byScore = Ordering.Double.TotalOrdering // java.lang.Double.compare, as in `before`
+    val mask = new Array[Boolean](cellIds.length)
+    if (nBest > 0) {
+      val sStar = best.iterator.take(nBest).map(cellScores(_)).min(byScore)
+      for (i <- 0 until nSelected if byScore.gteq(cellScores(cellPos(i)), sStar)) mask(cellPos(i)) = true
+    }
+    val kept = Array.range(0, cellIds.length).filter(mask(_))
+    val scored = scoreSelected(index, kept.map(cellIds(_)), kept.map(cellScores(_)), qn)
+    val (pids, fids, adcs, exacts) = (scored.patchIds, scored.frameIds, scored.adc, scored.exact)
+
     val pos = Array.range(0, pids.length)
     val nRescored = bestCover(adcs, pids, pos, _ => 1L, rescoreDepth)
     val top = java.util.Arrays.copyOf(pos, nRescored)
@@ -107,23 +117,21 @@ object AnnSearch {
 
   /** One pass over the cached posting blocks: a merge walk of each block's
     * ascending cells against the ascending `selected` ids visits only the
-    * selected cells' postings and scores each by ADC (cheap LUT sum) and
-    * exactly (lines 8–15), summed in the order of pq.adcScore and
-    * VecOps.dot. The block's arrays are read in place.
+    * selected cells' postings and emits each with its cell's ADC score from
+    * `selectedScores` and its exact score (line 14, summed in VecOps.dot
+    * order), reading the block's arrays in place.
     */
   private def scoreSelected(index: InvertedMultiIndex, selected: Array[Long],
-                            table: Array[Array[Double]], qn: Array[Float]): ScoredPostings = {
+                            selectedScores: Array[Double], qn: Array[Float]): ScoredPostings = {
     val col = CachedRows.column(index.entries, _: String)
     val (cellsCol, startCol, patchCol, frameCol) = (col("cells"), col("start"), col("patchIds"), col("frameIds"))
-    val (codesCol, embsCol) = (col("codes"), col("embs"))
-    val (nSub, dim) = (index.pq.P, index.pq.dim)
+    val (embsCol, dim) = (col("embs"), index.pq.dim)
     val parts = CachedRows.scan(index.entries, "ann_search") { rows =>
       val (pids, fids) = (Array.newBuilder[Long], Array.newBuilder[Long])
       val (adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double])
       for (r <- rows) {
         val (cells, start) = (r.getArray(cellsCol), r.getArray(startCol))
-        val (patchIds, frameIds) = (r.getArray(patchCol), r.getArray(frameCol))
-        val (codes, embs) = (r.getBinary(codesCol), r.getArray(embsCol))
+        val (patchIds, frameIds, embs) = (r.getArray(patchCol), r.getArray(frameCol), r.getArray(embsCol))
         val nCells = cells.numElements()
         var c = 0
         var s = 0
@@ -136,10 +144,7 @@ object AnnSearch {
             while (j < start.getInt(c + 1)) {
               pids += patchIds.getLong(j)
               fids += frameIds.getLong(j)
-              var adc = 0.0
-              var p = 0
-              while (p < nSub) { adc += table(p)(codes(j * nSub + p) & 0xFF); p += 1 }
-              adcs += adc
+              adcs += selectedScores(s)
               var exact = 0.0
               var i = 0
               while (i < dim) { exact += qn(i).toDouble * embs.getFloat(j * dim + i); i += 1 }

@@ -7,14 +7,15 @@ import repro.vit.PatchRec
 /** The postings of one index partition, sorted by cell and addressable by
   * cell: posting `j` lies in cell `cells(c)` for `start(c) <= j <
   * start(c + 1)`, and within a cell the postings are in patch-id order.
+  * A cell id is the posting's full PQ code word ([[ProductQuantizer.cellId]]),
+  * so a block stores no per-posting codes: `decodeCell(cells(c))` are the
+  * codes of every posting of the cell.
   *
   * @param cells    the partition's populated cell ids, strictly ascending
   * @param start    posting offsets of the cells, `cells.length + 1` long,
   *                 ending at the posting count n
   * @param patchIds patch id of each posting
   * @param frameIds frame id of each posting
-  * @param codes    the P PQ codes of posting `j` at `j * P until (j + 1) * P`,
-  *                 each an unsigned byte
   * @param embs     the fp32 embedding of posting `j` at `j * D' until
   *                 (j + 1) * D'`, kept for the exact rescore (paper Alg. 1
   *                 line 14)
@@ -24,7 +25,6 @@ final case class PostingBlock(
     start: Array[Int],
     patchIds: Array[Long],
     frameIds: Array[Long],
-    codes: Array[Byte],
     embs: Array[Float])
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
@@ -34,9 +34,9 @@ final case class PostingBlock(
   * per-cell posting lists, each partition's lists packed cell by cell into
   * primitive arrays. A driver-side cell directory (cell id -> posting
   * count) lets the query planner pick candidate cells without touching the
-  * data, and a query then reads only the selected cells' postings of each
-  * block (a merge walk of its sorted cell ids), so ADC and the exact
-  * rescore run on those postings only.
+  * data. Every posting of a cell shares the cell's ADC score, so the planner
+  * scores cells, not postings, and a query then reads only the postings of
+  * the cells it rescores (a merge walk of each block's sorted cell ids).
   */
 final case class InvertedMultiIndex(
     entries: Dataset[PostingBlock],
@@ -69,7 +69,6 @@ object InvertedMultiIndex {
     */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
             nPartitions: Int = 16): InvertedMultiIndex = {
-    require(pq.M <= 256, s"codes are stored as bytes, so M=${pq.M} must be at most 256")
     val spark = patches.sparkSession
     import spark.implicits._
     val entries = patches
@@ -78,7 +77,7 @@ object InvertedMultiIndex {
       .repartition(nPartitions, F.col("cellId"))
       .sortWithinPartitions("cellId", "patchId")
       .as[(Long, Long, Long, Array[Float])]
-      .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq)) else Iterator.empty)
+      .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq.dim)) else Iterator.empty)
       .cache()
     val col = CachedRows.column(entries, _: String)
     val (cellsCol, startCol) = (col("cells"), col("start"))
@@ -91,23 +90,16 @@ object InvertedMultiIndex {
   }
 
   /** Packs postings sorted by (cell, patch id) into a block. */
-  private def pack(rows: Array[(Long, Long, Long, Array[Float])], pq: ProductQuantizer): PostingBlock = {
-    val (n, p, d) = (rows.length, pq.P, pq.dim)
+  private def pack(rows: Array[(Long, Long, Long, Array[Float])], d: Int): PostingBlock = {
+    val n = rows.length
     val cells = Array.newBuilder[Long]
     val start = Array.newBuilder[Int]
-    val codes = new Array[Byte](n * p)
     val embs = new Array[Float](n * d)
-    var cellCodes: Array[Int] = null
     for (((cell, _, _, emb), j) <- rows.iterator.zipWithIndex) {
-      if (j == 0 || cell != rows(j - 1)._1) {
-        cells += cell
-        start += j
-        cellCodes = pq.decodeCell(cell)
-      }
-      for (i <- 0 until p) codes(j * p + i) = cellCodes(i).toByte
+      if (j == 0 || cell != rows(j - 1)._1) { cells += cell; start += j }
       System.arraycopy(emb, 0, embs, j * d, d)
     }
     start += n
-    PostingBlock(cells.result(), start.result(), rows.map(_._2), rows.map(_._3), codes, embs)
+    PostingBlock(cells.result(), start.result(), rows.map(_._2), rows.map(_._3), embs)
   }
 }

@@ -14,8 +14,7 @@ final case class PatchMeta(
     px: Double,
     py: Double,
     pw: Double,
-    ph: Double,
-    isObject: Boolean)
+    ph: Double)
 
 /** A fully resolved retrieval candidate after the metadata lookup. */
 final case class Candidate(
@@ -35,7 +34,7 @@ object MetadataStore {
   def build(patches: Dataset[PatchRec]): Dataset[PatchMeta] = {
     val spark = patches.sparkSession
     import spark.implicits._
-    val meta = patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.isObject)).cache()
+    val meta = patches.map(p => PatchMeta(p.patchId, p.frameId, p.px, p.py, p.pw, p.ph)).cache()
     CachedRows.load(meta, "metadata_load")
     meta
   }

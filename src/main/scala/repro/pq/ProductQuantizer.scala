@@ -21,6 +21,8 @@ final case class ProductQuantizer(
   require(codebooks.length == P, s"expected $P codebooks, got ${codebooks.length}")
   require(codebooks.forall(_.length == M), s"every codebook must hold $M centroids")
   require(codebooks.forall(_.forall(_.length == m)), s"centroids must have dim $m")
+  require(BigInt(M).pow(P) <= Long.MaxValue,
+    s"cell ids pack P=$P codes in base M=$M into a Long, so M^P must be at most ${Long.MaxValue}")
 
   /** Full vector dimension D' = P * m. */
   def dim: Int = P * m

@@ -147,6 +147,45 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     assert(rescoreBeyondScan > 0, "no query had a rescore depth beyond the candidates scanned")
   }
 
+  test("cells tied at the rescore boundary are all scanned: search answers as the join plan") {
+    // Hand-set codebooks on the diagonal and a query of 0.5s: every LUT
+    // entry and cell score is exact in binary, so tied cells tie bit for bit.
+    val diag = Array(1f, 0.5f, 0f, -1f)
+    val handPq = ProductQuantizer(2, 2, 4, Array.fill(2)(diag.map(x => Array(x, x))))
+    // (patch id, code in subspace 0, code in subspace 1); cell id = 4a + b.
+    // Cell 0 scores 2.0; cells 2, 5 and 8 tie at 1.0, and cell 8, the
+    // highest id, holds the lowest patch ids; cell 15 scores -2.0.
+    val postings = Seq((10, 0, 0), (11, 0, 0), (40, 0, 2), (41, 0, 2), (30, 1, 1), (1, 2, 0), (2, 2, 0),
+      (50, 3, 3), (51, 3, 3), (52, 3, 3), (53, 3, 3))
+    val recs = postings.map { case (pid, a, b) =>
+      // A step along the diagonal keeps the nearest centroid and varies the exact score.
+      val e = ((pid * 5) % 7 - 3) * 0.03125f
+      val emb = Array(diag(a) + e, diag(a) + e, diag(b), diag(b))
+      repro.vit.PatchRec(pid.toLong, pid / 2L, 0L, isObject = true, 0, 0, 0, 0, 8, 8, emb)
+    }
+    import spark.implicits._
+    val ds = spark.createDataset(recs).cache()
+    val tied = InvertedMultiIndex.build(ds, handPq, nPartitions = 2)
+    val q = Array.fill(4)(0.5f)
+    val table = handPq.lut(VecOps.normalize(q))
+    val boundary = Seq(2L, 5L, 8L).map(c => handPq.adcScore(table, handPq.decodeCell(c)))
+    assert(boundary.map(java.lang.Double.doubleToRawLongBits).distinct.size == 1 && boundary.head == 1.0)
+    assert(tied.cellIds.toSeq == Seq(0L, 2L, 5L, 8L, 15L))
+
+    // rescoreDepth = max(1 * 3, 11 / 4) = 3: the covering prefix is cells
+    // 0 and 2 (4 postings), but the third-best posting by (ADC, patch id)
+    // is patch 1 of the tied cell 8.
+    val got = AnnSearch.search(tied, q, k = 3, rescoreFactor = 1, scanFraction = 1.0)
+    assert(got == joinPlanSearch(tied, q, 3, rescoreFactor = 1, scanFraction = 1.0))
+    assert(got._1.map(_.patchId).toSet == Set(10L, 11L, 1L))
+    assert(got._2.rescored == 3 && got._2.candidates == 11)
+    for (k <- Seq(1, 2, 5, 11); rf <- Seq(1, 2); f <- Seq(0.1, 1.0))
+      assert(AnnSearch.search(tied, q, k, rescoreFactor = rf, scanFraction = f) ==
+        joinPlanSearch(tied, q, k, rescoreFactor = rf, scanFraction = f), s"k=$k rescoreFactor=$rf scanFraction=$f")
+    tied.entries.unpersist()
+    ds.unpersist()
+  }
+
   test("bestFirst orders by score descending, then id, as a boxed sort does") {
     for (seed <- 0L until 5L; n <- Seq(0, 1, 2, 7, 300)) {
       // Few distinct scores, so ties (and a -0.0 vs 0.0 pair) are common.

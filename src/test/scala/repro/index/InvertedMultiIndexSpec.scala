@@ -26,11 +26,11 @@ class InvertedMultiIndexSpec extends SparkSpec {
   }
 
   test("entries' codes match pq.encode of their embedding") {
-    val (p, d) = (pq.P, pq.dim)
-    for (b <- blocks; j <- b.patchIds.indices) {
+    // A posting's codes are its cell's code word.
+    val d = pq.dim
+    for (b <- blocks; c <- b.cells.indices; j <- b.start(c) until b.start(c + 1)) {
       val emb = b.embs.slice(j * d, (j + 1) * d)
-      val codes = b.codes.slice(j * p, (j + 1) * p).map(_ & 0xFF)
-      assert(codes.toSeq == pq.encode(emb).toSeq, s"patch ${b.patchIds(j)}")
+      assert(pq.decodeCell(b.cells(c)).toSeq == pq.encode(emb).toSeq, s"patch ${b.patchIds(j)}")
     }
   }
 
@@ -50,7 +50,7 @@ class InvertedMultiIndexSpec extends SparkSpec {
       assert(b.cells.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))
       assert(b.start.length == b.cells.length + 1 && b.start.head == 0 && b.start.last == n)
       assert(b.start.sliding(2).forall(w => w(0) < w(1)), "every listed cell holds a posting")
-      assert(b.frameIds.length == n && b.codes.length == n * pq.P && b.embs.length == n * pq.dim)
+      assert(b.frameIds.length == n && b.embs.length == n * pq.dim)
       for (c <- b.cells.indices) {
         val ids = b.patchIds.slice(b.start(c), b.start(c + 1))
         assert(ids.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))
@@ -127,5 +127,23 @@ class InvertedMultiIndexSpec extends SparkSpec {
     }
     small.entries.unpersist()
     few.unpersist()
+  }
+
+  test("more than 256 centroids per subspace build, and a full scan answers as BruteForce") {
+    val wide = ProductQuantizer.train(
+      { import spark.implicits._; patches.map(_.emb).rdd }, P = 4, m = 8, M = 300, iters = 2)
+    val big = InvertedMultiIndex.build(patches, wide, nPartitions = 4)
+    assert(big.total == index.total)
+    assert(big.cellIds.exists(cell => wide.decodeCell(cell).exists(_ >= 256)),
+      "some posting's code word uses a centroid past 255")
+    // 20 * k >= total, so every scanned posting is rescored exactly.
+    assert(20L * 25 >= big.total)
+    for (c <- 0 until 6; k <- Seq(25, 60)) {
+      val q = Fixtures.clusterCentre(6, 32, c)
+      val (ivf, stats) = AnnSearch.search(big, q, k, scanFraction = 1.0)
+      assert(ivf == BruteForce.search(big, q, k)._1, s"cluster $c k=$k")
+      assert(stats.candidates == big.total, s"cluster $c k=$k")
+    }
+    big.entries.unpersist()
   }
 }

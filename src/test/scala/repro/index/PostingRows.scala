@@ -2,7 +2,9 @@ package repro.index
 
 import org.apache.spark.sql.Dataset
 
-/** One stored posting as a row: its cell, its PQ codes and its embedding. */
+/** One stored posting as a row: its cell, its PQ codes (the cell's code
+  * word) and its embedding.
+  */
 final case class IndexedVec(
     patchId: Long,
     frameId: Long,
@@ -18,11 +20,11 @@ object PostingRows {
   def flatten(index: InvertedMultiIndex): Dataset[IndexedVec] = {
     val spark = index.entries.sparkSession
     import spark.implicits._
-    val (p, d) = (index.pq.P, index.pq.dim)
+    val pq = index.pq
+    val d = pq.dim
     index.entries.flatMap { b =>
       for (c <- b.cells.indices; j <- b.start(c) until b.start(c + 1))
-        yield IndexedVec(b.patchIds(j), b.frameIds(j),
-          Array.tabulate(p)(i => b.codes(j * p + i) & 0xFF), b.cells(c),
+        yield IndexedVec(b.patchIds(j), b.frameIds(j), pq.decodeCell(b.cells(c)), b.cells(c),
           java.util.Arrays.copyOfRange(b.embs, j * d, (j + 1) * d))
     }
   }

@@ -28,6 +28,19 @@ class ProductQuantizerSpec extends SparkSpec {
     }
   }
 
+  test("the constructor rejects code spaces whose cell ids overflow a Long") {
+    // 256^8 = 2^64: the all-255 code word would pack to -1.
+    val e = intercept[IllegalArgumentException] {
+      ProductQuantizer(8, 1, 256, Array.fill(8, 256, 1)(0f))
+    }
+    assert(e.getMessage.contains("P=8") && e.getMessage.contains("M=256"), e.getMessage)
+    val wide = ProductQuantizer(4, 1, 300, Array.tabulate(4, 300, 1)((p, c, _) => (c + p).toFloat))
+    val words = Seq(Array(0, 0, 0, 0), Array(299, 299, 299, 299), Array(256, 1, 298, 7), Array(255, 256, 0, 299))
+    for (codes <- words) assert(wide.decodeCell(wide.cellId(codes)).toSeq == codes.toSeq)
+    assert(wide.cellId(Array(299, 299, 299, 299)) == 300L * 300 * 300 * 300 - 1)
+    assert(words.map(wide.cellId).distinct.size == words.size)
+  }
+
   test("encode picks the nearest centroid per subspace") {
     val pq = handPq
     // subvector ~ (2.05, 2.06) in every subspace -> code 2
