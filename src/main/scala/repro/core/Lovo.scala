@@ -17,13 +17,16 @@ final case class BuildCounts(
     kmeansIters: Int,
     storageBytes: Long)
 
-/** A built LOVO instance over one dataset: raw frames (the "video"),
-  * the vector index, and the relational metadata store.
+/** A built LOVO instance over one dataset: raw frames (the "video") and
+  * the vector index, whose posting blocks hold each patch's frame id and
+  * box.
   *
-  * `frames`, `index.entries` and `meta` are cached and fully loaded.
-  * `patches` is not: the build releases its cache once the index and the
-  * metadata store hold every patch, since no query reads it; reading it
-  * recomputes the summary from the cached frames.
+  * `frames` and `index.entries` are cached and fully loaded. `patches` is
+  * not: the build releases its cache once the index holds every patch,
+  * since no query reads it; reading it recomputes the summary from the
+  * cached frames. `meta` is not cached either: it is the metadata rows
+  * read from the posting blocks ([[MetadataStore.fromIndex]]), which no
+  * `Lovo` call reads; the benchmark's replay resolves hits through it.
   */
 final case class LovoBuild(
     cfg: LovoConfig,
@@ -47,11 +50,11 @@ final case class LovoQueryResult(
 object Lovo {
 
   /** Offline phase: generate/ingest video, select keyframes, summarize,
-    * train PQ codebooks, build the inverted multi-index + metadata store.
-    * Each vector is then cached once, in the index: the index and the
-    * metadata store are loaded by their builds, so the transient patch
-    * cache is released last. Spark re-plans a dependent cache that is not
-    * yet loaded when a cache it reads is released, so the order matters.
+    * train PQ codebooks, build the inverted multi-index, whose posting
+    * blocks also hold the boxes. Each vector is then cached once, in the
+    * index: the index is loaded by its build, so the transient patch cache
+    * is released last. Spark re-plans a dependent cache that is not yet
+    * loaded when a cache it reads is released, so the order matters.
     *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
@@ -67,9 +70,8 @@ object Lovo {
       patches.map(_.emb).rdd, cfg.pqSubspaces, cfg.pqSubdim, cfg.pqCentroids,
       cfg.kmeansIters)
     val index = InvertedMultiIndex.build(patches, pq, cfg.indexPartitions)
-    val meta = MetadataStore.build(patches)
     patches.unpersist(blocking = true)
-    LovoBuild(cfg, dataset, frames, patches, index, meta,
+    LovoBuild(cfg, dataset, frames, patches, index, MetadataStore.fromIndex(index),
       BuildCounts(rawFrames, keyFrames, index.total, cfg.kmeansIters,
         index.total * VideoSummary.bytesPerEntry))
   }
@@ -79,17 +81,19 @@ object Lovo {
     Hnsw.build(b.index, b.cfg.hnswM, b.cfg.hnswEfConstruction)
 
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
-    * phrases to a single query vector, search the chosen index variant,
-    * resolve boxes through the relational metadata lookup.
+    * phrases to a single query vector and search the chosen index variant.
+    * Each hit carries its frame id and box from the posting it was read
+    * with, so the candidates are the hits, one for one, and no metadata
+    * lookup runs: IVF-PQ and BF run one Spark job, HNSW none.
     */
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,
                  hnsw: Option[HnswIndex] = None): (Seq[Candidate], AnnStats) = {
     val (hits, stats) = search(b, parsed, k, variant, hnsw)
-    (MetadataStore.resolve(b.meta, hits), stats)
+    (hits.map(h => Candidate(h.patchId, h.frameId, h.score, h.box)), stats)
   }
 
-  /** The raw hits of the chosen index variant, before the box lookup. */
+  /** The hits of the chosen index variant. */
   private def search(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                      variant: AnnVariant, hnsw: Option[HnswIndex]): (Seq[SearchHit], AnnStats) = {
     val q = TextEncoder.fastEmbedding(parsed)
@@ -106,9 +110,8 @@ object Lovo {
 
   /** Full two-stage query (Algorithm 2). With rerank disabled the fast
     * search candidates are returned as-is (Table IV w/o-rerank ablation).
-    * With rerank enabled the boxes of the fast search are never used, so
-    * the candidate frames come straight from the search hits (each hit
-    * carries its frame id and score) and no metadata lookup runs.
+    * With rerank enabled the rerank takes the distinct frames of the hits
+    * in best-score order and its decoder predicts the boxes afresh.
     */
   def query(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
             variant: AnnVariant = AnnVariant.IvfPq,

@@ -34,7 +34,10 @@ object CostModel {
   val tCellScore = 2.0e-7
   /** Text-encoder forward pass for the fast-search query vector. */
   val tQueryEncode = 0.005
-  /** Fixed per-query search overhead (dispatch, metadata join). */
+  /** Fixed per-query search overhead: dispatch, and in the paper's system
+    * the relational metadata lookup. Here the hits carry their boxes, so
+    * no lookup runs, but the constant is calibrated against the paper's
+    * figures and stays. */
   val tSearchOverhead = 0.005
   /** Cross-modality transformer fixed cost per candidate frame. */
   val tRerankBase = 0.2

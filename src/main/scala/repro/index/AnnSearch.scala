@@ -1,9 +1,12 @@
 package repro.index
 
 import repro.util.VecOps
+import repro.vit.BBox
 
-/** A raw vector-database hit (before the metadata lookup). */
-final case class SearchHit(patchId: Long, frameId: Long, score: Double)
+/** A vector-database hit: the stored posting's patch and frame ids, its
+  * exact score and its predicted box, read from the posting block with it.
+  */
+final case class SearchHit(patchId: Long, frameId: Long, score: Double, box: BBox)
 
 /** Operation counts of one search — the cost model's inputs. */
 final case class AnnStats(
@@ -13,9 +16,12 @@ final case class AnnStats(
     candidates: Long,     // postings in the selected cells (the scan budget)
     rescored: Long)       // postings exactly rescored: the top by ADC
 
-/** Scanned postings, each with its cell's ADC score and its exact score. */
+/** Scanned postings, each with its box (4 values at `4 * j`), its cell's
+  * ADC score and its exact score.
+  */
 private final case class ScoredPostings(
-    patchIds: Array[Long], frameIds: Array[Long], adc: Array[Double], exact: Array[Double])
+    patchIds: Array[Long], frameIds: Array[Long], boxes: Array[Double],
+    adc: Array[Double], exact: Array[Double])
 
 /** Approximate nearest-neighbor search over the inverted multi-index —
   * the paper's Algorithm 1 as a driver-planned distributed lookup.
@@ -95,7 +101,8 @@ object AnnSearch {
     }
     val kept = Array.range(0, cellIds.length).filter(mask(_))
     val scored = scoreSelected(index, kept.map(cellIds(_)), kept.map(cellScores(_)), qn)
-    val (pids, fids, adcs, exacts) = (scored.patchIds, scored.frameIds, scored.adc, scored.exact)
+    val (pids, fids, boxes, adcs, exacts) =
+      (scored.patchIds, scored.frameIds, scored.boxes, scored.adc, scored.exact)
 
     val pos = Array.range(0, pids.length)
     val nRescored = bestCover(adcs, pids, pos, _ => 1L, rescoreDepth)
@@ -103,7 +110,7 @@ object AnnSearch {
     val nTop = bestCover(exacts, pids, top, _ => 1L, k.toLong)
     val topScores = Array.tabulate(nTop)(i => exacts(top(i)))
     val exact = bestFirst(topScores, Array.tabulate(nTop)(i => pids(top(i))))
-      .map { i => val j = top(i); SearchHit(pids(j), fids(j), exacts(j)) }
+      .map { i => val j = top(i); SearchHit(pids(j), fids(j), exacts(j), BBox.packed(boxes, j)) }
       .toSeq
 
     val stats = AnnStats(
@@ -117,21 +124,22 @@ object AnnSearch {
 
   /** One pass over the cached posting blocks: a merge walk of each block's
     * ascending cells against the ascending `selected` ids visits only the
-    * selected cells' postings and emits each with its cell's ADC score from
-    * `selectedScores` and its exact score (line 14, summed in VecOps.dot
-    * order), reading the block's arrays in place.
+    * selected cells' postings and emits each with its box, its cell's ADC
+    * score from `selectedScores` and its exact score (line 14, summed in
+    * VecOps.dot order), reading the block's arrays in place.
     */
   private def scoreSelected(index: InvertedMultiIndex, selected: Array[Long],
                             selectedScores: Array[Double], qn: Array[Float]): ScoredPostings = {
     val col = CachedRows.column(index.entries, _: String)
     val (cellsCol, startCol, patchCol, frameCol) = (col("cells"), col("start"), col("patchIds"), col("frameIds"))
-    val (embsCol, dim) = (col("embs"), index.pq.dim)
+    val (boxesCol, embsCol, dim) = (col("boxes"), col("embs"), index.pq.dim)
     val parts = CachedRows.scan(index.entries, "ann_search") { rows =>
       val (pids, fids) = (Array.newBuilder[Long], Array.newBuilder[Long])
-      val (adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double])
+      val (bxs, adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double], Array.newBuilder[Double])
       for (r <- rows) {
         val (cells, start) = (r.getArray(cellsCol), r.getArray(startCol))
-        val (patchIds, frameIds, embs) = (r.getArray(patchCol), r.getArray(frameCol), r.getArray(embsCol))
+        val (patchIds, frameIds) = (r.getArray(patchCol), r.getArray(frameCol))
+        val (boxes, embs) = (r.getArray(boxesCol), r.getArray(embsCol))
         val nCells = cells.numElements()
         var c = 0
         var s = 0
@@ -144,6 +152,8 @@ object AnnSearch {
             while (j < start.getInt(c + 1)) {
               pids += patchIds.getLong(j)
               fids += frameIds.getLong(j)
+              var b = 4 * j
+              while (b < 4 * j + 4) { bxs += boxes.getDouble(b); b += 1 }
               adcs += selectedScores(s)
               var exact = 0.0
               var i = 0
@@ -156,11 +166,12 @@ object AnnSearch {
           }
         }
       }
-      Iterator(ScoredPostings(pids.result(), fids.result(), adcs.result(), exacts.result()))
+      Iterator(ScoredPostings(pids.result(), fids.result(), bxs.result(), adcs.result(), exacts.result()))
     }
     val all = parts.toSeq
     ScoredPostings(Array.concat(all.map(_.patchIds): _*), Array.concat(all.map(_.frameIds): _*),
-      Array.concat(all.map(_.adc): _*), Array.concat(all.map(_.exact): _*))
+      Array.concat(all.map(_.boxes): _*), Array.concat(all.map(_.adc): _*),
+      Array.concat(all.map(_.exact): _*))
   }
 
   /** Whether position `a` comes before `b` in (score desc, id asc) order,

@@ -1,12 +1,13 @@
 package repro.index
 
 import repro.util.VecOps
+import repro.vit.BBox
 
 /** Exhaustive exact scan — the w/o-ANNS ablation (Table IV) and the
   * LOVO(BF) variant (Table V). One narrow pass over the cached posting
   * blocks ([[CachedRows.scan]], planned once per index) scores every stored
-  * vector with the exact inner product, reading each block's ids and
-  * embeddings in place, and keeps a bounded top-k per task; the driver
+  * vector with the exact inner product, reading each block's ids, boxes
+  * and embeddings in place, and keeps a bounded top-k per task; the driver
   * merges the partial lists. It is the recall oracle of the ANN variants,
   * so it shares no code with [[AnnSearch]].
   */
@@ -18,11 +19,16 @@ object BruteForce {
     val qn = VecOps.normalize(q)
     val dim = qn.length
     val col = CachedRows.column(index.entries, _: String)
-    val (patchCol, frameCol, embsCol) = (col("patchIds"), col("frameIds"), col("embs"))
+    val (patchCol, frameCol) = (col("patchIds"), col("frameIds"))
+    val (boxesCol, embsCol) = (col("boxes"), col("embs"))
     val parts = CachedRows.scan(index.entries, "bf_search") { rows =>
       val top = new java.util.PriorityQueue[SearchHit](worstFirst)
       for (r <- rows) {
-        val (patchIds, frameIds, embs) = (r.getArray(patchCol), r.getArray(frameCol), r.getArray(embsCol))
+        val (patchIds, frameIds) = (r.getArray(patchCol), r.getArray(frameCol))
+        val (boxes, embs) = (r.getArray(boxesCol), r.getArray(embsCol))
+        def hit(j: Int, score: Double) = SearchHit(patchIds.getLong(j), frameIds.getLong(j), score,
+          BBox(boxes.getDouble(4 * j), boxes.getDouble(4 * j + 1), boxes.getDouble(4 * j + 2),
+            boxes.getDouble(4 * j + 3)))
         var j = 0
         while (j < patchIds.numElements()) {
           // summed in the order of VecOps.dotAt
@@ -30,8 +36,8 @@ object BruteForce {
           var i = 0
           while (i < dim) { s += qn(i).toDouble * embs.getFloat(j * dim + i); i += 1 }
           val pid = patchIds.getLong(j)
-          if (top.size < k) top.add(SearchHit(pid, frameIds.getLong(j), s))
-          else if (better(s, pid, top.peek)) { top.poll(); top.add(SearchHit(pid, frameIds.getLong(j), s)) }
+          if (top.size < k) top.add(hit(j, s))
+          else if (better(s, pid, top.peek)) { top.poll(); top.add(hit(j, s)) }
           j += 1
         }
       }

@@ -2,6 +2,7 @@ package repro.index
 
 import java.util.Arrays
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 
 /** Hierarchical Navigable Small World graph index — the LOVO(HNSW)
   * variant of Table V (Malkov & Yashunin's algorithm).
@@ -14,7 +15,8 @@ import repro.util.{Rng, VecOps}
   * computations are counted for the cost model.
   *
   * The graph lives in flat primitive arrays: the vectors in one
-  * `Array[Float]` of `size * dim` values; layer-0 links in one `Array[Int]`
+  * `Array[Float]` of `size * dim` values; the boxes a hit carries in one
+  * `Array[Double]` of `4 * size` values; layer-0 links in one `Array[Int]`
   * of fixed per-node blocks; the upper-layer links of a node in one small
   * `Array[Int]`, allocated only for nodes above layer 0. A link block is a
   * count followed by `cap + 1` slots: a neighbour list may run one over its
@@ -37,6 +39,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   private var n = 0
   private var ids = new Array[Long](16)
   private var frameIds = new Array[Long](16)
+  private var boxes = new Array[Double](16 * 4)
   private var vecs = new Array[Float](16 * dim)
   private var links0 = new Array[Int](16 * stride0)
   // upper(node): blocks of layers 1..level, null for a layer-0 node
@@ -129,7 +132,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
 
   private def grow(capacity: Int): Unit = if (capacity > ids.length) {
     val c = math.max(capacity, 2 * ids.length)
-    ids = Arrays.copyOf(ids, c); frameIds = Arrays.copyOf(frameIds, c)
+    ids = Arrays.copyOf(ids, c); frameIds = Arrays.copyOf(frameIds, c); boxes = Arrays.copyOf(boxes, c * 4)
     vecs = Arrays.copyOf(vecs, c * dim); links0 = Arrays.copyOf(links0, c * stride0)
     upper = Arrays.copyOf(upper, c); visited = Arrays.copyOf(visited, c)
   }
@@ -250,12 +253,14 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     }
   }
 
-  def add(id: Long, frameId: Long, v: Array[Float]): Unit = {
+  def add(id: Long, frameId: Long, box: BBox, v: Array[Float]): Unit = {
     require(v.length == dim, s"expected dim $dim, got ${v.length}")
     val node = n
     val level = drawLevel(id)
     grow(node + 1)
     ids(node) = id; frameIds(node) = frameId
+    boxes(4 * node) = box.x; boxes(4 * node + 1) = box.y
+    boxes(4 * node + 2) = box.w; boxes(4 * node + 3) = box.h
     System.arraycopy(VecOps.normalize(v), 0, vecs, node * dim, dim)
     if (level > 0) upper(node) = new Array[Int](level * strideUp)
     n += 1
@@ -312,7 +317,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     val scores = Array.tabulate(count)(i => -foundD(i))
     AnnSearch.bestFirst(scores, Array.tabulate(count)(i => foundN(i).toLong))
       .iterator.take(k)
-      .map { j => val node = foundN(j); SearchHit(ids(node), frameIds(node), scores(j)) }
+      .map { j => val node = foundN(j); SearchHit(ids(node), frameIds(node), scores(j), BBox.packed(boxes, node)) }
       .toVector
   }
 }
@@ -376,23 +381,25 @@ private object PairHeap {
 object Hnsw {
 
   /** Build from the stored index entries in patch-id order (a
-    * deterministic insert order), reading only the id and embedding
+    * deterministic insert order), reading only the id, box and embedding
     * arrays of the posting blocks in one narrow scan of the cached entries.
     */
   def build(index: InvertedMultiIndex, m: Int = 8, efConstruction: Int = 64,
             seed: Long = 7L): HnswIndex = {
     val col = CachedRows.column(index.entries, _: String)
-    val (patchCol, frameCol, embsCol) = (col("patchIds"), col("frameIds"), col("embs"))
+    val (patchCol, frameCol) = (col("patchIds"), col("frameIds"))
+    val (boxesCol, embsCol) = (col("boxes"), col("embs"))
     val blocks = CachedRows.scan(index.entries, "hnsw_build")(_.map(r =>
       (r.getArray(patchCol).toLongArray(), r.getArray(frameCol).toLongArray(),
-        r.getArray(embsCol).toFloatArray()))).toSeq
+        r.getArray(boxesCol).toDoubleArray(), r.getArray(embsCol).toFloatArray()))).toSeq
     val pids = Array.concat(blocks.map(_._1): _*)
     val fids = Array.concat(blocks.map(_._2): _*)
-    val embs = Array.concat(blocks.map(_._3): _*)
+    val boxes = Array.concat(blocks.map(_._3): _*)
+    val embs = Array.concat(blocks.map(_._4): _*)
     val dim = index.pq.dim
     val g = new HnswIndex(dim, m, efConstruction, seed)
     for (j <- pids.indices.sortBy(pids))
-      g.add(pids(j), fids(j), java.util.Arrays.copyOfRange(embs, j * dim, (j + 1) * dim))
+      g.add(pids(j), fids(j), BBox.packed(boxes, j), java.util.Arrays.copyOfRange(embs, j * dim, (j + 1) * dim))
     g
   }
 

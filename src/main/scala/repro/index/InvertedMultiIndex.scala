@@ -16,6 +16,11 @@ import repro.vit.PatchRec
   *                 ending at the posting count n
   * @param patchIds patch id of each posting
   * @param frameIds frame id of each posting
+  * @param boxes    the predicted box of posting `j` at `4 * j until
+  *                 4 * (j + 1)`: its patch's px, py, pw, ph. A hit carries
+  *                 its box from the scan that finds it, as a vector
+  *                 database returns scalar output fields with its hits, so
+  *                 no query joins a separate metadata store
   * @param embs     the fp32 embedding of posting `j` at `j * D' until
   *                 (j + 1) * D'`, kept for the exact rescore (paper Alg. 1
   *                 line 14)
@@ -25,6 +30,7 @@ final case class PostingBlock(
     start: Array[Int],
     patchIds: Array[Long],
     frameIds: Array[Long],
+    boxes: Array[Double],
     embs: Array[Float])
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
@@ -62,6 +68,11 @@ final case class InvertedMultiIndex(
 
 object InvertedMultiIndex {
 
+  /** One posting on its way into a block: cell id, patch id, frame id,
+    * box (px, py, pw, ph) and embedding.
+    */
+  private type Posting = (Long, Long, Long, Double, Double, Double, Double, Array[Float])
+
   /** Index-build batch job: encode every patch embedding, hash-partition
     * the postings by cell (the one shuffle), sort each partition by (cell,
     * patch id) and pack it into a [[PostingBlock]]. The cell directory
@@ -72,11 +83,11 @@ object InvertedMultiIndex {
     val spark = patches.sparkSession
     import spark.implicits._
     val entries = patches
-      .map(p => (pq.cellId(pq.encode(p.emb)), p.patchId, p.frameId, p.emb))
-      .toDF("cellId", "patchId", "frameId", "emb")
+      .map(p => (pq.cellId(pq.encode(p.emb)), p.patchId, p.frameId, p.px, p.py, p.pw, p.ph, p.emb))
+      .toDF("cellId", "patchId", "frameId", "px", "py", "pw", "ph", "emb")
       .repartition(nPartitions, F.col("cellId"))
       .sortWithinPartitions("cellId", "patchId")
-      .as[(Long, Long, Long, Array[Float])]
+      .as[Posting]
       .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq.dim)) else Iterator.empty)
       .cache()
     val col = CachedRows.column(entries, _: String)
@@ -90,16 +101,18 @@ object InvertedMultiIndex {
   }
 
   /** Packs postings sorted by (cell, patch id) into a block. */
-  private def pack(rows: Array[(Long, Long, Long, Array[Float])], d: Int): PostingBlock = {
+  private def pack(rows: Array[Posting], d: Int): PostingBlock = {
     val n = rows.length
     val cells = Array.newBuilder[Long]
     val start = Array.newBuilder[Int]
+    val boxes = new Array[Double](4 * n)
     val embs = new Array[Float](n * d)
-    for (((cell, _, _, emb), j) <- rows.iterator.zipWithIndex) {
+    for (((cell, _, _, x, y, w, h, emb), j) <- rows.iterator.zipWithIndex) {
       if (j == 0 || cell != rows(j - 1)._1) { cells += cell; start += j }
+      boxes(4 * j) = x; boxes(4 * j + 1) = y; boxes(4 * j + 2) = w; boxes(4 * j + 3) = h
       System.arraycopy(emb, 0, embs, j * d, d)
     }
     start += n
-    PostingBlock(cells.result(), start.result(), rows.map(_._2), rows.map(_._3), embs)
+    PostingBlock(cells.result(), start.result(), rows.map(_._2), rows.map(_._3), boxes, embs)
   }
 }

@@ -6,7 +6,9 @@ import repro.vit.{BBox, PatchRec}
 /** Relational side store row: patch id -> keyframe id + predicted box
   * (paper §V-B: "supplementary metadata such as key frame identifiers and
   * bounding box coordinates are stored separately in a relational
-  * database", linked by the shared patch id).
+  * database", linked by the shared patch id). No query reads these rows:
+  * the posting blocks hold each posting's frame id and box, so every hit
+  * carries them (see [[MetadataStore]]).
   */
 final case class PatchMeta(
     patchId: Long,
@@ -16,20 +18,28 @@ final case class PatchMeta(
     pw: Double,
     ph: Double)
 
-/** A fully resolved retrieval candidate after the metadata lookup. */
+/** A retrieval candidate: a hit's patch and frame ids, score and box. */
 final case class Candidate(
     patchId: Long,
     frameId: Long,
     score: Double,
     box: BBox)
 
+/** The paper's separately stored relational metadata and its lookup.
+  *
+  * `Lovo` no longer uses it: the boxes sit next to the postings in the
+  * [[PostingBlock]]s, so a fast search resolves no hit through a second
+  * Spark job. [[build]] and [[resolve]] stay for the benchmark's
+  * layer-by-layer replay, which calls them, and as the tests' oracle for
+  * the boxes the hits carry; [[fromIndex]] serves the replay the rows of
+  * a built index.
+  */
 object MetadataStore {
 
-  /** Build the relational side of the storage module: a cached Dataset,
-    * loaded in full before it returns ([[CachedRows.load]], one narrow
-    * job), as the index build's directory scan loads the posting blocks.
-    * A loaded store no longer reads `patches`, so the caller may release
-    * that cache, and the first [[resolve]] finds the store ready.
+  /** Build a store from the patches: a cached Dataset, loaded in full
+    * before it returns ([[CachedRows.load]], one narrow job), so the
+    * caller may release the `patches` cache and the first [[resolve]]
+    * finds the store ready.
     */
   def build(patches: Dataset[PatchRec]): Dataset[PatchMeta] = {
     val spark = patches.sparkSession
@@ -39,7 +49,23 @@ object MetadataStore {
     meta
   }
 
-  /** Resolve search hits to boxes: one narrow scan of the cached store
+  /** The store's rows read from an index: a narrow, uncached flatMap over
+    * the posting blocks' id and box columns, so it reads the blocks' cache
+    * and never the patches (nor recomputes the summary behind them).
+    */
+  def fromIndex(index: InvertedMultiIndex): Dataset[PatchMeta] = {
+    val spark = index.entries.sparkSession
+    import spark.implicits._
+    index.entries.select("patchIds", "frameIds", "boxes").as[(Array[Long], Array[Long], Array[Double])]
+      .flatMap { case (pids, fids, boxes) =>
+        pids.indices.map { j =>
+          val b = BBox.packed(boxes, j)
+          PatchMeta(pids(j), fids(j), b.x, b.y, b.w, b.h)
+        }
+      }
+  }
+
+  /** Resolve search hits to boxes: one narrow scan of the store
     * ([[CachedRows.scan]], planned once per store) that reads each row's
     * patch id and decodes only the rows of the hits (no join, no shuffle).
     * The output follows the input hits (descending score), one candidate

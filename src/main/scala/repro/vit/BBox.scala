@@ -26,6 +26,11 @@ final case class BBox(x: Double, y: Double, w: Double, h: Double) {
 }
 
 object BBox {
+  /** Box `j` of boxes packed four values each (x, y, w, h), the layout
+    * of the posting blocks and the HNSW graph.
+    */
+  def packed(a: Array[Double], j: Int): BBox = BBox(a(4 * j), a(4 * j + 1), a(4 * j + 2), a(4 * j + 3))
+
   /** Clamp a box into a canvas, preserving extent where possible. */
   def clamp(b: BBox, cw: Double, ch: Double): BBox = {
     val w = math.min(b.w, cw); val h = math.min(b.h, ch)

@@ -1,8 +1,7 @@
 package repro.core
 
-import org.scalacheck.Gen
 import repro.SparkSpec
-import repro.encoder.{TextEncoder, Vocab}
+import repro.encoder.TextEncoder
 import repro.testkit.{Fixtures, PropertyChecks}
 
 /** Recall@k of the ANN variants against the exact `BruteForce` scan on the
@@ -14,29 +13,10 @@ class AnnRecallSpec extends SparkSpec with PropertyChecks {
 
   private lazy val b = Fixtures.cityscapes
 
-  /** The shortest surface phrase of each of the category's tokens among
-    * `values`, in lexicon order.
-    */
-  private def phrases(cat: String, values: Seq[String]): IndexedSeq[String] = {
-    val wanted = values.map(Vocab.token(cat, _)).toSet
-    TextEncoder.lexicon.filter { case (_, tok) => wanted(tok) }
-      .groupBy(_._2).values.map(_.minBy(_._1.length)._1).toIndexedSeq.sorted
-  }
-
-  private lazy val queries: Gen[(String, Int)] = {
-    val ds = b.dataset
-    for {
-      colour <- Gen.option(Gen.oneOf(phrases(Vocab.Col, ds.bgColors)))
-      cls <- Gen.oneOf(phrases(Vocab.Cls, ds.bgClasses))
-      ctx <- Gen.oneOf(phrases(Vocab.Ctx, ds.sceneCtx))
-      k <- Gen.choose(30, 140)
-    } yield (s"A ${colour.fold("")(_ + " ")}$cls on the $ctx.", k)
-  }
-
   /** Mean recall@k of IVF-PQ and of HNSW over `n` generated queries. */
   private def meanRecalls(n: Int): (Double, Double) = {
     val (ivf, hnsw) = (Array.newBuilder[Double], Array.newBuilder[Double])
-    forAllGen(queries, n) { case (text, k) =>
+    forAllGen(Fixtures.keyPhraseQueries(b.dataset), n) { case (text, k) =>
       val parsed = TextEncoder.parse(text)
       def ids(v: AnnVariant) = {
         val g = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None

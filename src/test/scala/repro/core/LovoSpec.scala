@@ -4,10 +4,10 @@ import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
-import repro.testkit.{CachedStorage, Fixtures, SparkWork}
+import repro.testkit.{CachedStorage, Fixtures, PropertyChecks, SparkWork}
 import repro.vit.PatchGrid
 
-class LovoSpec extends SparkSpec {
+class LovoSpec extends SparkSpec with PropertyChecks {
 
   private lazy val b = Fixtures.cityscapes
   private lazy val build = b.build
@@ -120,14 +120,15 @@ class LovoSpec extends SparkSpec {
     }
   }
 
-  /** At most 2 narrow jobs, one task per core, each inside a SQL execution
-    * (so its cached scan reports rows, not batches).
+  /** Exactly `jobs` narrow jobs, one task per core, each inside a SQL
+    * execution (so its cached scan reports rows, not batches).
     */
-  private def assertNarrow(work: SparkWork): Unit = {
-    assert(work.jobs >= 1 && work.jobs <= 2, work.toString)
-    assert(work.shuffleStages == 0, work.toString)
-    assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), work.toString)
-    assert(work.sqlExecutions >= 1 && work.jobsOutsideSql == 0, work.toString)
+  private def assertNarrow(work: SparkWork, jobs: Int, label: String = ""): Unit = {
+    val clue = s"$label $work"
+    assert(work.jobs == jobs, clue)
+    assert(work.shuffleStages == 0, clue)
+    assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), clue)
+    assert(work.jobsOutsideSql == 0 && (work.sqlExecutions >= 1) == (jobs > 0), clue)
   }
 
   test("an IVF-PQ query with rerank runs at most 2 narrow Spark jobs, one task per core") {
@@ -135,15 +136,15 @@ class LovoSpec extends SparkSpec {
     Lovo.query(build, parsed, k = 40) // fills any lazily built cache first
     val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
     assert(res.rerank.exists(_.framesProcessed > 0))
-    assertNarrow(work)
+    assertNarrow(work, jobs = 2) // the index scan and the rerank
   }
 
   test("an IVF-PQ fastSearch runs at most 2 narrow Spark jobs, one task per core") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
-    // no warm-up call: the build returns the metadata store loaded
+    // no warm-up call: the build leaves nothing to fill lazily
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(Lovo.fastSearch(build, parsed, k = 40))
     assert(cands.nonEmpty)
-    assertNarrow(work)
+    assertNarrow(work, jobs = 1)
   }
 
   test("a BF fastSearch runs at most 2 narrow Spark jobs, one task per core") {
@@ -151,17 +152,58 @@ class LovoSpec extends SparkSpec {
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(
       Lovo.fastSearch(build, parsed, k = 40, AnnVariant.Bf))
     assert(cands.size == 40)
-    assertNarrow(work)
+    assertNarrow(work, jobs = 1)
+  }
+
+  test("per variant and entry point, a search runs its exact count of narrow Spark jobs") {
+    val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+    // The index scan is one job; the HNSW graph lives on the driver. A
+    // reranked query adds the rerank's one job; without rerank a query is
+    // a fast search.
+    val searchJobs = Map[AnnVariant, Int](AnnVariant.IvfPq -> 1, AnnVariant.Bf -> 1, AnnVariant.Hnsw -> 0)
+    val g = b.hnsw._1 // builds the fixture and its graph before any count
+    for (v <- AnnVariant.all) {
+      val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
+      val calls = Seq[(String, Int, () => Int)](
+        ("fastSearch", searchJobs(v), () => Lovo.fastSearch(build, parsed, k = 40, v, hnsw)._1.size),
+        ("query", searchJobs(v) + 1, () => Lovo.query(build, parsed, k = 40, v, hnsw = hnsw).candidates.size),
+        ("query without rerank", searchJobs(v),
+          () => Lovo.query(build, parsed, k = 40, v, useRerank = false, hnsw = hnsw).candidates.size))
+      for ((entry, jobs, call) <- calls) {
+        val label = s"${AnnVariant.name(v)} $entry:"
+        val (n, work) = SparkWork.during(spark.sparkContext)(call())
+        assert(n > 0 && n <= 40, label)
+        assertNarrow(work, jobs, label)
+      }
+    }
+  }
+
+  test("fastSearch candidates carry the boxes the metadata store resolves, on every variant") {
+    // The store is built from the patches (the summary, recomputed), not
+    // from the posting blocks; resolve reads each hit's patch id and score
+    // and takes frame and box from the store.
+    val store = repro.index.MetadataStore.build(build.patches)
+    try {
+      forAllGen(Fixtures.keyPhraseQueries(b.dataset), n = 8) { case (text, k) =>
+        for (v <- AnnVariant.all) {
+          val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
+          val label = s"${AnnVariant.name(v)} '$text' k=$k"
+          val (cands, _) = Lovo.fastSearch(build, TextEncoder.parse(text), k, v, hnsw)
+          val hits = cands.map(c => repro.index.SearchHit(c.patchId, c.frameId, c.score, c.box))
+          assert(cands.size == k, label)
+          assert(cands == repro.index.MetadataStore.resolve(store, hits), label)
+        }
+      }
+    } finally store.unpersist(blocking = true)
   }
 
   test("Lovo.buildHnsw runs exactly one narrow Spark job, with no shuffle stage") {
     val (g, work) = SparkWork.during(spark.sparkContext)(Lovo.buildHnsw(build))
     assert(g.size == build.counts.entries)
-    assert(work.jobs == 1, work.toString)
-    assertNarrow(work)
+    assertNarrow(work, jobs = 1)
   }
 
-  test("Lovo.build runs 12 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+  test("Lovo.build runs 11 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
       Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
     try {
@@ -169,21 +211,22 @@ class LovoSpec extends SparkSpec {
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
       assert(coords(again) == coords(build))
       assert(again.index.cellDirectory == build.index.cellDirectory)
-      assert(work.jobs == 12, work.toString)
-    } finally Seq(again.frames, again.index.entries, again.meta).foreach(_.unpersist())
+      assert(work.jobs == 11, work.toString)
+    } finally Seq(again.frames, again.index.entries).foreach(_.unpersist())
   }
 
-  test("Lovo.build leaves the frames, index entries and metadata store cached and loaded, and no patches") {
+  test("Lovo.build leaves exactly the frames and the posting blocks cached and loaded, no metadata store and no patches") {
     val sc = spark.sparkContext
     val before = CachedStorage.list(sc).map(_.id).toSet
     val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
-    val stores = Seq(again.frames, again.index.entries, again.meta)
+    val stores = Seq(again.frames, again.index.entries)
     try {
       val ids = stores.map(CachedStorage.rddOf)
       assert(ids.forall(_.isDefined), ids.toString)
       val added = CachedStorage.list(sc).filterNot(r => before(r.id))
-      assert(added.map(_.id).toSet == ids.flatten.toSet, added.toString)
+      assert(added.size == 2 && added.map(_.id).toSet == ids.flatten.toSet, added.toString)
       assert(added.forall(_.loaded), added.toString)
+      assert(again.meta.storageLevel == StorageLevel.NONE && CachedStorage.rddOf(again.meta).isEmpty)
       assert(again.patches.storageLevel == StorageLevel.NONE)
     } finally stores.foreach(_.unpersist(blocking = true))
   }
@@ -194,7 +237,7 @@ class LovoSpec extends SparkSpec {
       val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
       (Lovo.fastSearch(build, parsed, k = 40, v, hnsw), Lovo.query(build, parsed, k = 40, v, hnsw = hnsw))
     }
-    val stores = Seq(build.frames, build.index.entries, build.meta)
+    val stores = Seq(build.frames, build.index.entries)
     // The build as it stood before its last step, with the patch cache loaded.
     build.patches.cache().count()
     val (before, idsBefore) = (answers(), stores.map(CachedStorage.rddOf))
@@ -231,7 +274,7 @@ class LovoSpec extends SparkSpec {
       build.cfg.pqSubdim, build.cfg.pqCentroids, build.cfg.kmeansIters)
     val index = repro.index.InvertedMultiIndex.build(patches, pq, build.cfg.indexPartitions)
     val small = build.copy(patches = patches, index = index,
-      meta = repro.index.MetadataStore.build(patches),
+      meta = repro.index.MetadataStore.fromIndex(index),
       counts = build.counts.copy(entries = n.toLong))
     assert(index.total == n)
     val g = Lovo.buildHnsw(small)

@@ -111,14 +111,14 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     val fetched = PostingRows.flatten(index).join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
     val approx = fetched
-      .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.emb))
-      .toDF("patchId", "frameId", "approxScore", "emb")
+      .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.box, e.emb))
+      .toDF("patchId", "frameId", "approxScore", "box", "emb")
       .orderBy(col("approxScore").desc, col("patchId"))
       .limit(rescoreDepth)
-      .as[(Long, Long, Double, Array[Float])]
+      .as[(Long, Long, Double, repro.vit.BBox, Array[Float])]
       .collect()
     val exact = approx
-      .map { case (pid, fid, _, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb)) }
+      .map { case (pid, fid, _, box, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb), box) }
       .sortBy(h => (-h.score, h.patchId))
       .take(k)
       .toSeq

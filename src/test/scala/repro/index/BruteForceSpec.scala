@@ -19,8 +19,8 @@ class BruteForceSpec extends SparkSpec {
     val q = Fixtures.clusterCentre(4, 32, 1)
     val qn = VecOps.normalize(q)
     val (hits, _) = BruteForce.search(index, q, k = 25)
-    val expected = PostingRows.flatten(index).collect()
-      .map(e => SearchHit(e.patchId, e.frameId, VecOps.dot(qn, e.emb)))
+    val expected = Fixtures.clusteredPatches(4, 50, 32)
+      .map(p => SearchHit(p.patchId, p.frameId, VecOps.dot(qn, p.emb), Fixtures.box(p)))
       .sortBy(h => (-h.score, h.patchId))
       .take(25).toSeq
     assert(hits == expected)

@@ -3,6 +3,7 @@ package repro.index
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Fixtures
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 
 class HnswSpec extends AnyFunSuite {
 
@@ -11,7 +12,7 @@ class HnswSpec extends AnyFunSuite {
 
   private def freshIndex(seed: Long = 7L): HnswIndex = {
     val g = new HnswIndex(dim, M = 8, efConstruction = 64, seed = seed)
-    data.foreach(p => g.add(p.patchId, p.frameId, p.emb))
+    data.foreach(p => g.add(p.patchId, p.frameId, Fixtures.box(p), p.emb))
     g
   }
 
@@ -27,10 +28,11 @@ class HnswSpec extends AnyFunSuite {
 
   test("single-element index returns that element") {
     val g = new HnswIndex(dim)
-    g.add(42L, 7L, data.head.emb)
+    g.add(42L, 7L, BBox(1.5, 2.25, 3.0, 4.75), data.head.emb)
     val hits = g.search(data.head.emb, 3)
     assert(hits.map(_.patchId) == Seq(42L))
     assert(hits.head.frameId == 7L)
+    assert(hits.head.box == BBox(1.5, 2.25, 3.0, 4.75))
   }
 
   test("recall@10 vs exhaustive search exceeds 0.9") {
@@ -88,7 +90,7 @@ class HnswSpec extends AnyFunSuite {
 
   test("dimension mismatch on add is rejected") {
     val g = new HnswIndex(dim)
-    intercept[IllegalArgumentException] { g.add(1L, 1L, new Array[Float](dim + 1)) }
+    intercept[IllegalArgumentException] { g.add(1L, 1L, BBox(0, 0, 1, 1), new Array[Float](dim + 1)) }
   }
 
   test("dimension mismatch on search is rejected") {
@@ -105,7 +107,10 @@ class HnswSpec extends AnyFunSuite {
       val label = s"seed=$seed M=$m"
       val flat = new HnswIndex(dim, M = m, efConstruction = 64, seed = seed)
       val ref = new ReferenceHnswIndex(dim, M = m, efConstruction = 64, seed = seed)
-      points.foreach { p => flat.add(p.patchId, p.frameId, p.emb); ref.add(p.patchId, p.frameId, p.emb) }
+      points.foreach { p =>
+        flat.add(p.patchId, p.frameId, Fixtures.box(p), p.emb)
+        ref.add(p.patchId, p.frameId, Fixtures.box(p), p.emb)
+      }
       assert(ref.maxLevel >= 2, label)
       assert(flat.size == ref.size, label)
       assert(flat.distComps == ref.distComps, s"$label: build")

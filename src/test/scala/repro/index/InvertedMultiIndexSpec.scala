@@ -42,6 +42,14 @@ class InvertedMultiIndexSpec extends SparkSpec {
     assert(stored.toMap == want.toMap)
   }
 
+  test("every posting's box is its patch's px, py, pw, ph, bit for bit") {
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToRawLongBits)
+    val want = Fixtures.clusteredPatches(6, 80, 32).map(p => p.patchId -> bits(Seq(p.px, p.py, p.pw, p.ph))).toMap
+    val stored = blocks.flatMap(b => b.patchIds.indices.map(j => b.patchIds(j) -> bits(b.boxes.slice(4 * j, 4 * j + 4).toSeq)))
+    assert(stored.length == want.size)
+    for ((pid, box) <- stored) assert(box == want(pid), s"patch $pid")
+  }
+
   test("each block's cells ascend strictly, its offsets are monotone, and a cell's postings ascend by patch id") {
     assert(blocks.nonEmpty && blocks.length <= 4)
     for (b <- blocks) {
@@ -50,7 +58,7 @@ class InvertedMultiIndexSpec extends SparkSpec {
       assert(b.cells.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))
       assert(b.start.length == b.cells.length + 1 && b.start.head == 0 && b.start.last == n)
       assert(b.start.sliding(2).forall(w => w(0) < w(1)), "every listed cell holds a posting")
-      assert(b.frameIds.length == n && b.embs.length == n * pq.dim)
+      assert(b.frameIds.length == n && b.boxes.length == 4 * n && b.embs.length == n * pq.dim)
       for (c <- b.cells.indices) {
         val ids = b.patchIds.slice(b.start(c), b.start(c + 1))
         assert(ids.sliding(2).forall(w => w.length < 2 || w(0) < w(1)))

@@ -2,6 +2,7 @@ package repro.index
 
 import scala.collection.mutable
 import repro.util.{Rng, VecOps}
+import repro.vit.BBox
 
 /** The boxed HNSW graph the flat [[HnswIndex]] replaced: `PriorityQueue`
   * heaps of tuples, a `mutable.Set` visited-set, `ArrayBuffer` link lists.
@@ -16,6 +17,7 @@ final class ReferenceHnswIndex(val dim: Int, val M: Int = 8, val efConstruction:
 
   private val ids = mutable.ArrayBuffer[Long]()
   private val frameIds = mutable.ArrayBuffer[Long]()
+  private val boxes = mutable.ArrayBuffer[BBox]()
   private val vecs = mutable.ArrayBuffer[Array[Float]]()
   // links(node)(level) = neighbour node indices
   private val links = mutable.ArrayBuffer[Array[mutable.ArrayBuffer[Int]]]()
@@ -113,11 +115,11 @@ final class ReferenceHnswIndex(val dim: Int, val M: Int = 8, val efConstruction:
     }
   }
 
-  def add(id: Long, frameId: Long, v: Array[Float]): Unit = {
+  def add(id: Long, frameId: Long, box: BBox, v: Array[Float]): Unit = {
     require(v.length == dim, s"expected dim $dim, got ${v.length}")
     val node = ids.length
     val level = drawLevel(id)
-    ids += id; frameIds += frameId; vecs += VecOps.normalize(v)
+    ids += id; frameIds += frameId; boxes += box; vecs += VecOps.normalize(v)
     links += Array.fill(level + 1)(mutable.ArrayBuffer[Int]())
 
     if (entryPoint < 0) { entryPoint = node; topLevel = level; return }
@@ -158,6 +160,6 @@ final class ReferenceHnswIndex(val dim: Int, val M: Int = 8, val efConstruction:
       }
     ranked
       .take(k)
-      .map { case (n, d) => SearchHit(ids(n), frameIds(n), -d) }
+      .map { case (n, d) => SearchHit(ids(n), frameIds(n), -d, boxes(n)) }
   }
 }
