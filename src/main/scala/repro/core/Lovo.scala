@@ -21,12 +21,13 @@ final case class BuildCounts(
   * the vector index, whose posting blocks hold each patch's frame id and
   * box.
   *
-  * `frames` and `index.entries` are cached and fully loaded. `patches` is
-  * not: the build releases its cache once the index holds every patch,
-  * since no query reads it; reading it recomputes the summary from the
-  * cached frames. `meta` is not cached either: it is the metadata rows
-  * read from the posting blocks ([[MetadataStore.fromIndex]]), which no
-  * `Lovo` call reads; the benchmark's replay resolves hits through it.
+  * `frames` (a Dataset) and `index.entries` (an RDD of posting blocks)
+  * are cached and fully loaded. `patches` is not: the build releases its
+  * cache once the index holds every patch, since no query reads it;
+  * reading it recomputes the summary from the cached frames. `meta` is not
+  * cached either: it is the metadata rows read from the posting blocks
+  * ([[MetadataStore.fromIndex]]), which no `Lovo` call reads; the
+  * benchmark's replay resolves hits through it.
   */
 final case class LovoBuild(
     cfg: LovoConfig,
@@ -52,9 +53,8 @@ object Lovo {
   /** Offline phase: generate/ingest video, select keyframes, summarize,
     * train PQ codebooks, build the inverted multi-index, whose posting
     * blocks also hold the boxes. Each vector is then cached once, in the
-    * index: the index is loaded by its build, so the transient patch cache
-    * is released last. Spark re-plans a dependent cache that is not yet
-    * loaded when a cache it reads is released, so the order matters.
+    * index: the build releases the transient patch cache, which the
+    * index's cached blocks no longer need.
     *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
@@ -83,19 +83,12 @@ object Lovo {
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
     * phrases to a single query vector and search the chosen index variant.
     * Each hit carries its frame id and box from the posting it was read
-    * with, so the candidates are the hits, one for one, and no metadata
-    * lookup runs: IVF-PQ and BF run one Spark job, HNSW none.
+    * with, so the candidates are the hits and no metadata lookup runs:
+    * IVF-PQ and BF run one Spark job, HNSW none.
     */
   def fastSearch(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
                  variant: AnnVariant = AnnVariant.IvfPq,
                  hnsw: Option[HnswIndex] = None): (Seq[Candidate], AnnStats) = {
-    val (hits, stats) = search(b, parsed, k, variant, hnsw)
-    (hits.map(h => Candidate(h.patchId, h.frameId, h.score, h.box)), stats)
-  }
-
-  /** The hits of the chosen index variant. */
-  private def search(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
-                     variant: AnnVariant, hnsw: Option[HnswIndex]): (Seq[SearchHit], AnnStats) = {
     val q = TextEncoder.fastEmbedding(parsed)
     variant match {
       case AnnVariant.IvfPq =>
@@ -117,11 +110,8 @@ object Lovo {
             variant: AnnVariant = AnnVariant.IvfPq,
             useRerank: Boolean = true,
             hnsw: Option[HnswIndex] = None): LovoQueryResult = {
-    if (!useRerank) {
-      val (cands, stats) = fastSearch(b, parsed, k, variant, hnsw)
-      return LovoQueryResult(cands, stats, None, k)
-    }
-    val (hits, stats) = search(b, parsed, k, variant, hnsw)
+    val (hits, stats) = fastSearch(b, parsed, k, variant, hnsw)
+    if (!useRerank) return LovoQueryResult(hits, stats, None, k)
 
     // Stage 2: rerank the distinct candidate frames (best-score order).
     val frameOrder = hits.sortBy(h => (-h.score, h.frameId)).map(_.frameId).distinct

@@ -3,10 +3,11 @@ package repro.index
 import repro.util.VecOps
 import repro.vit.BBox
 
-/** A vector-database hit: the stored posting's patch and frame ids, its
-  * exact score and its predicted box, read from the posting block with it.
+/** A retrieval candidate: a vector-database hit's patch and frame ids,
+  * its exact score and its predicted box, read from the posting block with
+  * it. A reranked answer carries patch id -1 and the decoder's box.
   */
-final case class SearchHit(patchId: Long, frameId: Long, score: Double, box: BBox)
+final case class Candidate(patchId: Long, frameId: Long, score: Double, box: BBox)
 
 /** Operation counts of one search — the cost model's inputs. */
 final case class AnnStats(
@@ -39,10 +40,9 @@ private final case class ScoredPostings(
   *    max(rescoreFactor * k, scanned/4): the cells scoring at least the
   *    lowest score s* of the best-first prefix covering that depth, ties
   *    included. One narrow Spark pass over the cached posting blocks
-  *    ([[CachedRows.scan]], planned once per index) merges each block's
-  *    ascending cell ids with theirs and scores only their postings
-  *    exactly, reading the block's arrays in place. No shuffle, one task
-  *    per core.
+  *    ([[InvertedMultiIndex.scan]]) merges each block's ascending cell ids
+  *    with theirs and scores only their postings exactly, reading the
+  *    block's typed arrays in place. No shuffle, one task per core.
   * 4. On the driver, select that ADC top (ties broken by patch id), then
   *    the top-k of it by exact score (lines 13–17), and sort only those k.
   *    Every posting of another selected cell scores below s*, so this is
@@ -58,7 +58,7 @@ object AnnSearch {
     */
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int,
              topA: Int = 4, rescoreFactor: Int = 20,
-             scanFraction: Double = 0.35): (Seq[SearchHit], AnnStats) = {
+             scanFraction: Double = 0.35): (Seq[Candidate], AnnStats) = {
     require(k > 0, "k must be positive")
     val pq = index.pq
     val qn = VecOps.normalize(q)
@@ -110,7 +110,7 @@ object AnnSearch {
     val nTop = bestCover(exacts, pids, top, _ => 1L, k.toLong)
     val topScores = Array.tabulate(nTop)(i => exacts(top(i)))
     val exact = bestFirst(topScores, Array.tabulate(nTop)(i => pids(top(i))))
-      .map { i => val j = top(i); SearchHit(pids(j), fids(j), exacts(j), BBox.packed(boxes, j)) }
+      .map { i => val j = top(i); Candidate(pids(j), fids(j), exacts(j), BBox.packed(boxes, j)) }
       .toSeq
 
     val stats = AnnStats(
@@ -125,48 +125,33 @@ object AnnSearch {
   /** One pass over the cached posting blocks: a merge walk of each block's
     * ascending cells against the ascending `selected` ids visits only the
     * selected cells' postings and emits each with its box, its cell's ADC
-    * score from `selectedScores` and its exact score (line 14, summed in
-    * VecOps.dot order), reading the block's arrays in place.
+    * score from `selectedScores` and its exact score (line 14), reading the
+    * block's arrays in place.
     */
   private def scoreSelected(index: InvertedMultiIndex, selected: Array[Long],
                             selectedScores: Array[Double], qn: Array[Float]): ScoredPostings = {
-    val col = CachedRows.column(index.entries, _: String)
-    val (cellsCol, startCol, patchCol, frameCol) = (col("cells"), col("start"), col("patchIds"), col("frameIds"))
-    val (boxesCol, embsCol, dim) = (col("boxes"), col("embs"), index.pq.dim)
-    val parts = CachedRows.scan(index.entries, "ann_search") { rows =>
+    val dim = index.pq.dim
+    val parts = index.scan { b =>
       val (pids, fids) = (Array.newBuilder[Long], Array.newBuilder[Long])
       val (bxs, adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double], Array.newBuilder[Double])
-      for (r <- rows) {
-        val (cells, start) = (r.getArray(cellsCol), r.getArray(startCol))
-        val (patchIds, frameIds) = (r.getArray(patchCol), r.getArray(frameCol))
-        val (boxes, embs) = (r.getArray(boxesCol), r.getArray(embsCol))
-        val nCells = cells.numElements()
-        var c = 0
-        var s = 0
-        while (c < nCells && s < selected.length) {
-          val cell = cells.getLong(c)
-          if (cell < selected(s)) c += 1
-          else if (cell > selected(s)) s += 1
-          else {
-            var j = start.getInt(c)
-            while (j < start.getInt(c + 1)) {
-              pids += patchIds.getLong(j)
-              fids += frameIds.getLong(j)
-              var b = 4 * j
-              while (b < 4 * j + 4) { bxs += boxes.getDouble(b); b += 1 }
-              adcs += selectedScores(s)
-              var exact = 0.0
-              var i = 0
-              while (i < dim) { exact += qn(i).toDouble * embs.getFloat(j * dim + i); i += 1 }
-              exacts += exact
-              j += 1
-            }
-            c += 1
-            s += 1
+      var c = 0
+      var s = 0
+      while (c < b.cells.length && s < selected.length) {
+        if (b.cells(c) < selected(s)) c += 1
+        else if (b.cells(c) > selected(s)) s += 1
+        else {
+          for (j <- b.start(c) until b.start(c + 1)) {
+            pids += b.patchIds(j)
+            fids += b.frameIds(j)
+            bxs.addAll(b.boxes, 4 * j, 4)
+            adcs += selectedScores(s)
+            exacts += VecOps.dotAt(qn, b.embs, j * dim)
           }
+          c += 1
+          s += 1
         }
       }
-      Iterator(ScoredPostings(pids.result(), fids.result(), bxs.result(), adcs.result(), exacts.result()))
+      ScoredPostings(pids.result(), fids.result(), bxs.result(), adcs.result(), exacts.result())
     }
     val all = parts.toSeq
     ScoredPostings(Array.concat(all.map(_.patchIds): _*), Array.concat(all.map(_.frameIds): _*),

@@ -7,7 +7,9 @@ import org.apache.spark.sql.catalyst.encoders.{ExpressionEncoder, encoderFor}
 import org.apache.spark.sql.execution.{QueryExecution, SQLExecution}
 
 /** Per-query scans of a cached Dataset through its once-planned physical
-  * plan.
+  * plan: the rerank's scan of the frames and the metadata store's lookup.
+  * (The index caches its posting blocks as an RDD of objects, which a scan
+  * reads directly; see [[InvertedMultiIndex.scan]].)
   *
   * A Dataset operator (`filter`, `map`, `select`) builds a new plan that
   * Catalyst analyzes, optimizes and code-generates on every call. The

@@ -290,7 +290,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   }
 
   /** Top-k maximum-inner-product search; returns hits descending by score. */
-  def search(q: Array[Float], k: Int, ef: Int = 64): Seq[SearchHit] = {
+  def search(q: Array[Float], k: Int, ef: Int = 64): Seq[Candidate] = {
     require(q.length == dim, s"expected dim $dim, got ${q.length}")
     require(k > 0, "k must be positive")
     if (entryPoint < 0) return Seq.empty
@@ -317,7 +317,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
     val scores = Array.tabulate(count)(i => -foundD(i))
     AnnSearch.bestFirst(scores, Array.tabulate(count)(i => foundN(i).toLong))
       .iterator.take(k)
-      .map { j => val node = foundN(j); SearchHit(ids(node), frameIds(node), scores(j), BBox.packed(boxes, node)) }
+      .map { j => val node = foundN(j); Candidate(ids(node), frameIds(node), scores(j), BBox.packed(boxes, node)) }
       .toVector
   }
 }
@@ -381,21 +381,16 @@ private object PairHeap {
 object Hnsw {
 
   /** Build from the stored index entries in patch-id order (a
-    * deterministic insert order), reading only the id, box and embedding
-    * arrays of the posting blocks in one narrow scan of the cached entries.
+    * deterministic insert order), from the posting blocks collected in one
+    * narrow scan of the cached entries.
     */
   def build(index: InvertedMultiIndex, m: Int = 8, efConstruction: Int = 64,
             seed: Long = 7L): HnswIndex = {
-    val col = CachedRows.column(index.entries, _: String)
-    val (patchCol, frameCol) = (col("patchIds"), col("frameIds"))
-    val (boxesCol, embsCol) = (col("boxes"), col("embs"))
-    val blocks = CachedRows.scan(index.entries, "hnsw_build")(_.map(r =>
-      (r.getArray(patchCol).toLongArray(), r.getArray(frameCol).toLongArray(),
-        r.getArray(boxesCol).toDoubleArray(), r.getArray(embsCol).toFloatArray()))).toSeq
-    val pids = Array.concat(blocks.map(_._1): _*)
-    val fids = Array.concat(blocks.map(_._2): _*)
-    val boxes = Array.concat(blocks.map(_._3): _*)
-    val embs = Array.concat(blocks.map(_._4): _*)
+    val blocks = index.scan(identity).toSeq
+    val pids = Array.concat(blocks.map(_.patchIds): _*)
+    val fids = Array.concat(blocks.map(_.frameIds): _*)
+    val boxes = Array.concat(blocks.map(_.boxes): _*)
+    val embs = Array.concat(blocks.map(_.embs): _*)
     val dim = index.pq.dim
     val g = new HnswIndex(dim, m, efConstruction, seed)
     for (j <- pids.indices.sortBy(pids))
@@ -404,7 +399,7 @@ object Hnsw {
   }
 
   /** Search wrapper returning the same stats shape as the other variants. */
-  def search(g: HnswIndex, q: Array[Float], k: Int, ef: Int = 64): (Seq[SearchHit], AnnStats) = {
+  def search(g: HnswIndex, q: Array[Float], k: Int, ef: Int = 64): (Seq[Candidate], AnnStats) = {
     val before = g.distComps
     val hits = g.search(q, k, ef)
     val comps = g.distComps - before

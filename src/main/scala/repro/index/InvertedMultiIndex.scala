@@ -1,6 +1,9 @@
 package repro.index
 
+import scala.reflect.ClassTag
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, functions => F}
+import org.apache.spark.storage.StorageLevel
 import repro.pq.ProductQuantizer
 import repro.vit.PatchRec
 
@@ -9,7 +12,8 @@ import repro.vit.PatchRec
   * start(c + 1)`, and within a cell the postings are in patch-id order.
   * A cell id is the posting's full PQ code word ([[ProductQuantizer.cellId]]),
   * so a block stores no per-posting codes: `decodeCell(cells(c))` are the
-  * codes of every posting of the cell.
+  * codes of every posting of the cell. Every index scan reads these typed
+  * arrays in place, from the cached block itself.
   *
   * @param cells    the partition's populated cell ids, strictly ascending
   * @param start    posting offsets of the cells, `cells.length + 1` long,
@@ -35,17 +39,21 @@ final case class PostingBlock(
 
 /** The inverted multi-index (paper §V-B, Babenko & Lempitsky [33]).
   *
-  * Entries live in a cached Spark Dataset with one [[PostingBlock]] per
-  * partition of the cell-id hash partitioning: the distributed analogue of
-  * per-cell posting lists, each partition's lists packed cell by cell into
-  * primitive arrays. A driver-side cell directory (cell id -> posting
+  * Entries live in a cached Spark RDD with one [[PostingBlock]] per
+  * non-empty partition of the cell-id hash partitioning: the distributed
+  * analogue of per-cell posting lists, each partition's lists packed cell
+  * by cell into primitive arrays. The cache holds the blocks as objects,
+  * so a scan ([[scan]]) reads their arrays in place. Spark's cache manager
+  * re-plans Dataset caches, never an RDD, so releasing a cache the build
+  * read (the patches) changes no block; a lost block is recomputed from
+  * the build's lineage. A driver-side cell directory (cell id -> posting
   * count) lets the query planner pick candidate cells without touching the
   * data. Every posting of a cell shares the cell's ADC score, so the planner
   * scores cells, not postings, and a query then reads only the postings of
   * the cells it rescores (a merge walk of each block's sorted cell ids).
   */
 final case class InvertedMultiIndex(
-    entries: Dataset[PostingBlock],
+    entries: RDD[PostingBlock],
     pq: ProductQuantizer,
     cellDirectory: Map[Long, Long],
     total: Long) {
@@ -64,6 +72,14 @@ final case class InvertedMultiIndex(
 
   /** `cellCodes(i)` holds the decoded PQ codes of cell `cellIds(i)`. */
   lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
+
+  /** Runs `f` on every cached posting block and collects what it returns:
+    * one narrow Spark job at `defaultParallelism` tasks, one per core.
+    * Each task ships `f`, so `f` must capture query-sized values only,
+    * never the index and its directory.
+    */
+  def scan[U: ClassTag](f: PostingBlock => U): Array[U] =
+    entries.coalesce(entries.sparkContext.defaultParallelism).map(f).collect()
 }
 
 object InvertedMultiIndex {
@@ -75,8 +91,9 @@ object InvertedMultiIndex {
 
   /** Index-build batch job: encode every patch embedding, hash-partition
     * the postings by cell (the one shuffle), sort each partition by (cell,
-    * patch id) and pack it into a [[PostingBlock]]. The cell directory
-    * comes from the cached blocks in one narrow collect.
+    * patch id) and pack it into a [[PostingBlock]], cached at the level
+    * `Dataset.cache` uses. The cell directory comes from the blocks in one
+    * narrow collect, which loads the cache.
     */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
             nPartitions: Int = 16): InvertedMultiIndex = {
@@ -89,12 +106,8 @@ object InvertedMultiIndex {
       .sortWithinPartitions("cellId", "patchId")
       .as[Posting]
       .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq.dim)) else Iterator.empty)
-      .cache()
-    val col = CachedRows.column(entries, _: String)
-    val (cellsCol, startCol) = (col("cells"), col("start"))
-    val directory = CachedRows.scan(entries, "index_directory")(_.map { r =>
-      (r.getArray(cellsCol).toLongArray(), r.getArray(startCol).toIntArray())
-    }).iterator.flatMap { case (cells, start) =>
+      .rdd.persist(StorageLevel.MEMORY_AND_DISK)
+    val directory = entries.map(b => (b.cells, b.start)).collect().iterator.flatMap { case (cells, start) =>
       cells.indices.iterator.map(c => cells(c) -> (start(c + 1) - start(c)).toLong)
     }.toMap
     InvertedMultiIndex(entries, pq, directory, directory.values.sum)

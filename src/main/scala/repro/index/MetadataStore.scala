@@ -1,6 +1,6 @@
 package repro.index
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.vit.{BBox, PatchRec}
 
 /** Relational side store row: patch id -> keyframe id + predicted box
@@ -17,13 +17,6 @@ final case class PatchMeta(
     py: Double,
     pw: Double,
     ph: Double)
-
-/** A retrieval candidate: a hit's patch and frame ids, score and box. */
-final case class Candidate(
-    patchId: Long,
-    frameId: Long,
-    score: Double,
-    box: BBox)
 
 /** The paper's separately stored relational metadata and its lookup.
   *
@@ -50,29 +43,28 @@ object MetadataStore {
   }
 
   /** The store's rows read from an index: a narrow, uncached flatMap over
-    * the posting blocks' id and box columns, so it reads the blocks' cache
+    * the cached posting blocks' ids and boxes, so it reads the blocks' cache
     * and never the patches (nor recomputes the summary behind them).
     */
   def fromIndex(index: InvertedMultiIndex): Dataset[PatchMeta] = {
-    val spark = index.entries.sparkSession
+    val spark = SparkSession.active
     import spark.implicits._
-    index.entries.select("patchIds", "frameIds", "boxes").as[(Array[Long], Array[Long], Array[Double])]
-      .flatMap { case (pids, fids, boxes) =>
-        pids.indices.map { j =>
-          val b = BBox.packed(boxes, j)
-          PatchMeta(pids(j), fids(j), b.x, b.y, b.w, b.h)
-        }
+    index.entries.flatMap { b =>
+      b.patchIds.indices.map { j =>
+        val box = BBox.packed(b.boxes, j)
+        PatchMeta(b.patchIds(j), b.frameIds(j), box.x, box.y, box.w, box.h)
       }
+    }.toDS()
   }
 
   /** Resolve search hits to boxes: one narrow scan of the store
     * ([[CachedRows.scan]], planned once per store) that reads each row's
     * patch id and decodes only the rows of the hits (no join, no shuffle).
     * The output follows the input hits (descending score), one candidate
-    * per hit with that hit's score; hits whose patch id the store lacks
-    * are dropped.
+    * per hit with that hit's patch id and score and the store's frame id
+    * and box; hits whose patch id the store lacks are dropped.
     */
-  def resolve(meta: Dataset[PatchMeta], hits: Seq[SearchHit]): Seq[Candidate] = {
+  def resolve(meta: Dataset[PatchMeta], hits: Seq[Candidate]): Seq[Candidate] = {
     if (hits.isEmpty) return Seq.empty
     val ids = hits.map(_.patchId).distinct.toArray.sorted
     val col = CachedRows.column(meta, _: String)

@@ -4,6 +4,7 @@ import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
+import repro.index.PostingRows
 import repro.testkit.{CachedStorage, Fixtures, PropertyChecks, SparkWork}
 import repro.vit.PatchGrid
 
@@ -120,15 +121,22 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     }
   }
 
-  /** Exactly `jobs` narrow jobs, one task per core, each inside a SQL
-    * execution (so its cached scan reports rows, not batches).
+  /** The posting blocks the index caches, one per non-empty partition. */
+  private lazy val blocks = build.index.entries.count()
+
+  /** Exactly `indexScans + sqlJobs` narrow jobs, one task per core. Each
+    * index scan is a plain RDD job, outside every SQL execution, that reads
+    * every posting block once from the cache (a recomputed block would
+    * read none). The other jobs (the rerank) run inside a SQL execution,
+    * so their cached scans report rows, not batches.
     */
-  private def assertNarrow(work: SparkWork, jobs: Int, label: String = ""): Unit = {
+  private def assertNarrow(work: SparkWork, indexScans: Int, sqlJobs: Int = 0, label: String = ""): Unit = {
     val clue = s"$label $work"
-    assert(work.jobs == jobs, clue)
+    assert(work.jobs == indexScans + sqlJobs, clue)
     assert(work.shuffleStages == 0, clue)
     assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), clue)
-    assert(work.jobsOutsideSql == 0 && (work.sqlExecutions >= 1) == (jobs > 0), clue)
+    assert(work.inputRecordsOutsideSql == Seq.fill(indexScans)(blocks), clue)
+    assert((work.sqlExecutions >= 1) == (sqlJobs > 0), clue)
   }
 
   test("an IVF-PQ query with rerank runs at most 2 narrow Spark jobs, one task per core") {
@@ -136,7 +144,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     Lovo.query(build, parsed, k = 40) // fills any lazily built cache first
     val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
     assert(res.rerank.exists(_.framesProcessed > 0))
-    assertNarrow(work, jobs = 2) // the index scan and the rerank
+    assertNarrow(work, indexScans = 1, sqlJobs = 1) // the index scan and the rerank
   }
 
   test("an IVF-PQ fastSearch runs at most 2 narrow Spark jobs, one task per core") {
@@ -144,7 +152,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     // no warm-up call: the build leaves nothing to fill lazily
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(Lovo.fastSearch(build, parsed, k = 40))
     assert(cands.nonEmpty)
-    assertNarrow(work, jobs = 1)
+    assertNarrow(work, indexScans = 1)
   }
 
   test("a BF fastSearch runs at most 2 narrow Spark jobs, one task per core") {
@@ -152,7 +160,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(
       Lovo.fastSearch(build, parsed, k = 40, AnnVariant.Bf))
     assert(cands.size == 40)
-    assertNarrow(work, jobs = 1)
+    assertNarrow(work, indexScans = 1)
   }
 
   test("per variant and entry point, a search runs its exact count of narrow Spark jobs") {
@@ -165,23 +173,23 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     for (v <- AnnVariant.all) {
       val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
       val calls = Seq[(String, Int, () => Int)](
-        ("fastSearch", searchJobs(v), () => Lovo.fastSearch(build, parsed, k = 40, v, hnsw)._1.size),
-        ("query", searchJobs(v) + 1, () => Lovo.query(build, parsed, k = 40, v, hnsw = hnsw).candidates.size),
-        ("query without rerank", searchJobs(v),
+        ("fastSearch", 0, () => Lovo.fastSearch(build, parsed, k = 40, v, hnsw)._1.size),
+        ("query", 1, () => Lovo.query(build, parsed, k = 40, v, hnsw = hnsw).candidates.size),
+        ("query without rerank", 0,
           () => Lovo.query(build, parsed, k = 40, v, useRerank = false, hnsw = hnsw).candidates.size))
-      for ((entry, jobs, call) <- calls) {
+      for ((entry, rerankJobs, call) <- calls) {
         val label = s"${AnnVariant.name(v)} $entry:"
         val (n, work) = SparkWork.during(spark.sparkContext)(call())
         assert(n > 0 && n <= 40, label)
-        assertNarrow(work, jobs, label)
+        assertNarrow(work, searchJobs(v), rerankJobs, label)
       }
     }
   }
 
   test("fastSearch candidates carry the boxes the metadata store resolves, on every variant") {
     // The store is built from the patches (the summary, recomputed), not
-    // from the posting blocks; resolve reads each hit's patch id and score
-    // and takes frame and box from the store.
+    // from the posting blocks; resolve keeps each candidate's patch id and
+    // score and takes frame and box from the store.
     val store = repro.index.MetadataStore.build(build.patches)
     try {
       forAllGen(Fixtures.keyPhraseQueries(b.dataset), n = 8) { case (text, k) =>
@@ -189,9 +197,8 @@ class LovoSpec extends SparkSpec with PropertyChecks {
           val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
           val label = s"${AnnVariant.name(v)} '$text' k=$k"
           val (cands, _) = Lovo.fastSearch(build, TextEncoder.parse(text), k, v, hnsw)
-          val hits = cands.map(c => repro.index.SearchHit(c.patchId, c.frameId, c.score, c.box))
           assert(cands.size == k, label)
-          assert(cands == repro.index.MetadataStore.resolve(store, hits), label)
+          assert(cands == repro.index.MetadataStore.resolve(store, cands), label)
         }
       }
     } finally store.unpersist(blocking = true)
@@ -200,10 +207,10 @@ class LovoSpec extends SparkSpec with PropertyChecks {
   test("Lovo.buildHnsw runs exactly one narrow Spark job, with no shuffle stage") {
     val (g, work) = SparkWork.during(spark.sparkContext)(Lovo.buildHnsw(build))
     assert(g.size == build.counts.entries)
-    assertNarrow(work, jobs = 1)
+    assertNarrow(work, indexScans = 1)
   }
 
-  test("Lovo.build runs 11 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+  test("Lovo.build runs 10 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
       Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
     try {
@@ -211,24 +218,23 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
       assert(coords(again) == coords(build))
       assert(again.index.cellDirectory == build.index.cellDirectory)
-      assert(work.jobs == 11, work.toString)
-    } finally Seq(again.frames, again.index.entries).foreach(_.unpersist())
+      assert(work.jobs == 10, work.toString)
+    } finally { again.frames.unpersist(); again.index.entries.unpersist() }
   }
 
   test("Lovo.build leaves exactly the frames and the posting blocks cached and loaded, no metadata store and no patches") {
     val sc = spark.sparkContext
     val before = CachedStorage.list(sc).map(_.id).toSet
     val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
-    val stores = Seq(again.frames, again.index.entries)
     try {
-      val ids = stores.map(CachedStorage.rddOf)
+      val ids = Seq(CachedStorage.rddOf(again.frames), Some(again.index.entries.id))
       assert(ids.forall(_.isDefined), ids.toString)
       val added = CachedStorage.list(sc).filterNot(r => before(r.id))
       assert(added.size == 2 && added.map(_.id).toSet == ids.flatten.toSet, added.toString)
       assert(added.forall(_.loaded), added.toString)
       assert(again.meta.storageLevel == StorageLevel.NONE && CachedStorage.rddOf(again.meta).isEmpty)
       assert(again.patches.storageLevel == StorageLevel.NONE)
-    } finally stores.foreach(_.unpersist(blocking = true))
+    } finally { again.frames.unpersist(blocking = true); again.index.entries.unpersist(blocking = true) }
   }
 
   test("releasing the patch cache changes no answer and re-plans no loaded store") {
@@ -237,16 +243,45 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
       (Lovo.fastSearch(build, parsed, k = 40, v, hnsw), Lovo.query(build, parsed, k = 40, v, hnsw = hnsw))
     }
-    val stores = Seq(build.frames, build.index.entries)
+    def storeIds() = Seq(CachedStorage.rddOf(build.frames), Some(build.index.entries.id))
     // The build as it stood before its last step, with the patch cache loaded.
     build.patches.cache().count()
-    val (before, idsBefore) = (answers(), stores.map(CachedStorage.rddOf))
+    val (before, idsBefore) = (answers(), storeIds())
     build.patches.unpersist(blocking = true)
     assert(answers() == before)
-    assert(stores.map(CachedStorage.rddOf) == idsBefore, "a loaded store was re-planned")
+    assert(storeIds() == idsBefore, "a loaded store was re-planned")
     val cached = CachedStorage.list(spark.sparkContext).filter(r => idsBefore.contains(Some(r.id)))
-    assert(cached.size == stores.size && cached.forall(_.loaded), cached.toString)
+    assert(cached.size == idsBefore.size && cached.forall(_.loaded), cached.toString)
     assert(build.patches.storageLevel == StorageLevel.NONE)
+  }
+
+  test("the cached posting blocks recompute from their own lineage, with the patch cache released") {
+    val sc = spark.sparkContext
+    val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
+    val entries = again.index.entries
+    try {
+      assert(again.patches.storageLevel == StorageLevel.NONE)
+      val queries = Seq("Q1.1", "Q1.2").map(id => TextEncoder.parse(Workloads.byId(id).text))
+      def answers() = {
+        val g = Lovo.buildHnsw(again)
+        for (parsed <- queries; v <- AnnVariant.all) yield {
+          val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
+          (Lovo.fastSearch(again, parsed, k = 40, v, hnsw), Lovo.query(again, parsed, k = 40, v, hnsw = hnsw))
+        }
+      }
+      def rows() = PostingRows.flatten(again.index).collect()
+        .map(r => (r.patchId, r.frameId, r.box, r.codes.toSeq, r.cellId, r.emb.toSeq)).sortBy(_._1).toSeq
+      val (rowsBefore, answersBefore) = (rows(), answers())
+      entries.unpersist(blocking = true)
+      assert(!CachedStorage.list(sc).exists(_.id == entries.id), "the blocks are evicted")
+      entries.persist(StorageLevel.MEMORY_AND_DISK)
+      val directory = entries.flatMap(blk => blk.cells.indices.map(c =>
+        blk.cells(c) -> (blk.start(c + 1) - blk.start(c)).toLong)).collect().toMap
+      assert(directory == again.index.cellDirectory)
+      assert(rows() == rowsBefore)
+      assert(answers() == answersBefore)
+      assert(CachedStorage.list(sc).exists(r => r.id == entries.id && r.loaded))
+    } finally { again.frames.unpersist(blocking = true); entries.unpersist(blocking = true) }
   }
 
   test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {

@@ -90,7 +90,7 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     */
   private def joinPlanSearch(index: InvertedMultiIndex, q: Array[Float], k: Int,
                              rescoreFactor: Int = 20,
-                             scanFraction: Double = 0.35): (Seq[SearchHit], AnnStats) = {
+                             scanFraction: Double = 0.35): (Seq[Candidate], AnnStats) = {
     val pq = index.pq
     val qn = VecOps.normalize(q)
     val table = pq.lut(qn)
@@ -118,7 +118,7 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
       .as[(Long, Long, Double, repro.vit.BBox, Array[Float])]
       .collect()
     val exact = approx
-      .map { case (pid, fid, _, box, emb) => SearchHit(pid, fid, VecOps.dot(qn, emb), box) }
+      .map { case (pid, fid, _, box, emb) => Candidate(pid, fid, VecOps.dot(qn, emb), box) }
       .sortBy(h => (-h.score, h.patchId))
       .take(k)
       .toSeq

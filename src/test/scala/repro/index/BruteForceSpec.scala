@@ -20,7 +20,7 @@ class BruteForceSpec extends SparkSpec {
     val qn = VecOps.normalize(q)
     val (hits, _) = BruteForce.search(index, q, k = 25)
     val expected = Fixtures.clusteredPatches(4, 50, 32)
-      .map(p => SearchHit(p.patchId, p.frameId, VecOps.dot(qn, p.emb), Fixtures.box(p)))
+      .map(p => Candidate(p.patchId, p.frameId, VecOps.dot(qn, p.emb), Fixtures.box(p)))
       .sortBy(h => (-h.score, h.patchId))
       .take(25).toSeq
     assert(hits == expected)

@@ -31,7 +31,7 @@ class MetadataStoreSpec extends SparkSpec {
   test("resolve preserves hit order and attaches the right box") {
     val sample = patches.take(5)
     val hits = sample.zipWithIndex.map { case (p, i) =>
-      SearchHit(p.patchId, p.frameId, 10.0 - i, Fixtures.box(p))
+      Candidate(p.patchId, p.frameId, 10.0 - i, Fixtures.box(p))
     }.toSeq
     val resolved = MetadataStore.resolve(meta, hits)
     assert(resolved.map(_.patchId) == hits.map(_.patchId))
@@ -43,7 +43,7 @@ class MetadataStoreSpec extends SparkSpec {
   }
 
   test("unknown patch ids are silently dropped") {
-    val resolved = MetadataStore.resolve(meta, Seq(SearchHit(-999L, 0L, 1.0, BBox(0, 0, 0, 0))))
+    val resolved = MetadataStore.resolve(meta, Seq(Candidate(-999L, 0L, 1.0, BBox(0, 0, 0, 0))))
     assert(resolved.isEmpty)
   }
 
@@ -55,7 +55,7 @@ class MetadataStoreSpec extends SparkSpec {
     import spark.implicits._
     val reordered = meta.select(meta.columns.reverse.map(meta(_)).toIndexedSeq: _*).as[PatchMeta].cache()
     assert(reordered.columns.toSeq != meta.columns.toSeq)
-    val hits = patches.take(9).zipWithIndex.map { case (p, i) => SearchHit(p.patchId, p.frameId, 5.0 - i, Fixtures.box(p)) }.toSeq
+    val hits = patches.take(9).zipWithIndex.map { case (p, i) => Candidate(p.patchId, p.frameId, 5.0 - i, Fixtures.box(p)) }.toSeq
     val expected = MetadataStore.resolve(meta, hits)
     assert(expected.size == hits.size)
     assert(MetadataStore.resolve(reordered, hits) == expected)
@@ -66,9 +66,9 @@ class MetadataStoreSpec extends SparkSpec {
     import spark.implicits._
     val sample = patches.take(7)
     // Descending scores; an unknown id, then a repeat of a known id.
-    val hits = (sample.zipWithIndex.map { case (p, i) => SearchHit(p.patchId, p.frameId, 9.0 - i, Fixtures.box(p)) } ++
-      Seq(SearchHit(-999L, 0L, 1.5, BBox(0, 0, 0, 0)),
-        SearchHit(sample(2).patchId, sample(2).frameId, 1.0, Fixtures.box(sample(2))))).toSeq
+    val hits = (sample.zipWithIndex.map { case (p, i) => Candidate(p.patchId, p.frameId, 9.0 - i, Fixtures.box(p)) } ++
+      Seq(Candidate(-999L, 0L, 1.5, BBox(0, 0, 0, 0)),
+        Candidate(sample(2).patchId, sample(2).frameId, 1.0, Fixtures.box(sample(2))))).toSeq
     val resolved = MetadataStore.resolve(meta, hits)
     assert(resolved.map(_.patchId) == hits.map(_.patchId).filter(_ != -999L),
       "one candidate per known hit, in hit order")

@@ -1,6 +1,6 @@
 package repro.index
 
-import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.vit.BBox
 
 /** One stored posting as a row: its box, its cell, its PQ codes (the
@@ -20,7 +20,7 @@ final case class IndexedVec(
 object PostingRows {
 
   def flatten(index: InvertedMultiIndex): Dataset[IndexedVec] = {
-    val spark = index.entries.sparkSession
+    val spark = SparkSession.active
     import spark.implicits._
     val pq = index.pq
     val d = pq.dim
@@ -28,6 +28,6 @@ object PostingRows {
       for (c <- b.cells.indices; j <- b.start(c) until b.start(c + 1))
         yield IndexedVec(b.patchIds(j), b.frameIds(j), BBox.packed(b.boxes, j), pq.decodeCell(b.cells(c)),
           b.cells(c), java.util.Arrays.copyOfRange(b.embs, j * d, (j + 1) * d))
-    }
+    }.toDS()
   }
 }

@@ -143,7 +143,7 @@ final class ReferenceHnswIndex(val dim: Int, val M: Int = 8, val efConstruction:
   }
 
   /** Top-k maximum-inner-product search; returns hits descending by score. */
-  def search(q: Array[Float], k: Int, ef: Int = 64): Seq[SearchHit] = {
+  def search(q: Array[Float], k: Int, ef: Int = 64): Seq[Candidate] = {
     if (entryPoint < 0) return Seq.empty
     val qn = VecOps.normalize(q)
     val found = searchLayer(qn, Seq(descend(qn, 0)), math.max(ef, k), 0)
@@ -160,6 +160,6 @@ final class ReferenceHnswIndex(val dim: Int, val M: Int = 8, val efConstruction:
       }
     ranked
       .take(k)
-      .map { case (n, d) => SearchHit(ids(n), frameIds(n), -d, boxes(n)) }
+      .map { case (n, d) => Candidate(ids(n), frameIds(n), -d, boxes(n)) }
   }
 }

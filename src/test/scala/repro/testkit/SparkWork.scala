@@ -9,22 +9,32 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 /** The Spark work one call launched.
   *
   * @param tasksPerJob    tasks run by each job, in job-start order
+  * @param inputRecordsPerJob input records of each job, in job-start order:
+  *                       for a job over a cached RDD, the cached blocks it
+  *                       read from the cache (a recomputed block adds none)
+  * @param outsideSqlPerJob whether each job, in job-start order, ran outside
+  *                       every SQL execution the call started
   * @param shuffleStages  stages that wrote or read shuffle data
   * @param shuffleMapStages stages that wrote shuffle output, one per
   *                       exchange run
   * @param sqlExecutions  SQL executions started
-  * @param jobsOutsideSql jobs that ran outside every SQL execution the
-  *                       call started; their scans report no SQL row metrics
   */
-final case class SparkWork(tasksPerJob: Seq[Int], shuffleStages: Int, shuffleMapStages: Int,
-                           sqlExecutions: Int, jobsOutsideSql: Int) {
+final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
+                           outsideSqlPerJob: Seq[Boolean], shuffleStages: Int,
+                           shuffleMapStages: Int, sqlExecutions: Int) {
   def jobs: Int = tasksPerJob.size
+
+  def jobsOutsideSql: Int = outsideSqlPerJob.count(identity)
+
+  /** Input records of each job that ran outside every SQL execution. */
+  def inputRecordsOutsideSql: Seq[Long] =
+    inputRecordsPerJob.zip(outsideSqlPerJob).collect { case (n, true) => n }
 }
 
 object SparkWork {
 
-  /** Runs `body` and counts the jobs, tasks, shuffle stages and SQL
-    * executions it launched. Counts every job of the context meanwhile,
+  /** Runs `body` and counts the jobs, tasks, input records, shuffle stages
+    * and SQL executions it launched. Counts every job of the context meanwhile,
     * so the caller must be the only one running Spark work.
     */
   def during[T](sc: SparkContext)(body: => T): (T, SparkWork) = {
@@ -41,6 +51,7 @@ object SparkWork {
   private final class Counter extends SparkListener {
     private val jobOfStage = mutable.Map[Int, Int]()
     private val tasks = mutable.LinkedHashMap[Int, Int]()
+    private val records = mutable.Map[Int, Long]()
     private val shuffling = mutable.Set[Int]()
     private val mapStages = mutable.Set[Int]()
     private val executions = mutable.Set[Long]()
@@ -48,6 +59,7 @@ object SparkWork {
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       tasks(e.jobId) = 0
+      records(e.jobId) = 0L
       e.stageIds.foreach(jobOfStage(_) = e.jobId)
       executionOfJob(e.jobId) = Option(e.properties)
         .flatMap(p => Option(p.getProperty(SQLExecution.EXECUTION_ID_KEY))).map(_.toLong)
@@ -66,15 +78,19 @@ object SparkWork {
     }
 
     override def onTaskEnd(e: SparkListenerTaskEnd): Unit = synchronized {
-      jobOfStage.get(e.stageId).foreach(j => tasks(j) += 1)
       val m = e.taskMetrics
+      jobOfStage.get(e.stageId).foreach { j =>
+        tasks(j) += 1
+        if (m != null) records(j) += m.inputMetrics.recordsRead
+      }
       if (m != null && (m.shuffleReadMetrics.recordsRead > 0 || m.shuffleWriteMetrics.recordsWritten > 0))
         shuffling += e.stageId
     }
 
     def work: SparkWork = synchronized {
-      SparkWork(tasks.values.toSeq, shuffling.size, mapStages.size, executions.size,
-        executionOfJob.values.count(!_.exists(executions)))
+      val jobs = tasks.keys.toSeq
+      SparkWork(jobs.map(tasks), jobs.map(records), jobs.map(j => !executionOfJob(j).exists(executions)),
+        shuffling.size, mapStages.size, executions.size)
     }
   }
 }
