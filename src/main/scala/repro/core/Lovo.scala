@@ -96,8 +96,8 @@ object Lovo {
       case AnnVariant.Bf =>
         BruteForce.search(b.index, q, k)
       case AnnVariant.Hnsw =>
-        val g = hnsw.getOrElse(sys.error("HNSW variant requires a prebuilt graph"))
-        Hnsw.search(g, q, k, math.max(b.cfg.hnswEfSearch, k))
+        require(hnsw.isDefined, "HNSW variant requires a prebuilt graph")
+        Hnsw.search(hnsw.get, q, k, math.max(b.cfg.hnswEfSearch, k))
     }
   }
 

@@ -43,4 +43,5 @@ final case class LovoConfig(
     indexPartitions: Int = 16) {
   require(pqSubspaces * pqSubdim == repro.encoder.SemanticSpace.Dp,
     s"PQ dims ${pqSubspaces}x$pqSubdim must equal D'=${repro.encoder.SemanticSpace.Dp}")
+  require(rescoreFactor >= 1, "rescoreFactor must be at least 1")
 }

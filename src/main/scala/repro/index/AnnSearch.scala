@@ -17,12 +17,11 @@ final case class AnnStats(
     candidates: Long,     // postings in the selected cells (the scan budget)
     rescored: Long)       // postings exactly rescored: the top by ADC
 
-/** Scanned postings, each with its box (4 values at `4 * j`), its cell's
-  * ADC score and its exact score.
+/** The exact top-k of scanned postings, each with its box (4 values at
+  * `4 * j`) and its exact score.
   */
 private final case class ScoredPostings(
-    patchIds: Array[Long], frameIds: Array[Long], boxes: Array[Double],
-    adc: Array[Double], exact: Array[Double])
+    patchIds: Array[Long], frameIds: Array[Long], boxes: Array[Double], exact: Array[Double])
 
 /** Approximate nearest-neighbor search over the inverted multi-index —
   * the paper's Algorithm 1 as a driver-planned distributed lookup.
@@ -36,19 +35,20 @@ private final case class ScoredPostings(
   *    top-A product set of line 6 is not applied (see the inline note).
   *    A cell id is the full PQ code word, so a cell's score is the ADC
   *    score of each of its postings (lines 8–12).
-  * 3. Among the selected cells, keep those that can hold the ADC top
-  *    max(rescoreFactor * k, scanned/4): the cells scoring at least the
-  *    lowest score s* of the best-first prefix covering that depth, ties
-  *    included. One narrow Spark pass over the cached posting blocks
-  *    ([[InvertedMultiIndex.scan]]) merges each block's ascending cell ids
-  *    with theirs and scores only their postings exactly, reading the
-  *    block's typed arrays in place. No shuffle, one task per core.
-  * 4. On the driver, select that ADC top (ties broken by patch id), then
-  *    the top-k of it by exact score (lines 13–17), and sort only those k.
-  *    Every posting of another selected cell scores below s*, so this is
-  *    the top a scan of all selected cells would select. Every hit is one
-  *    stored vector with its own patch id, so line 16's patch-id vote over
-  *    per-subspace components has nothing to decide.
+  * 3. Postings rank in cell order: ADC score descending, then cell id,
+  *    then patch id within the cell. The ADC top max(rescoreFactor * k,
+  *    scanned/4) is then the best-first prefix of the selected cells that
+  *    covers that depth, of which the last cell gives only the postings
+  *    the depth still needs, its lowest patch ids. One narrow Spark pass
+  *    over the cached posting blocks ([[InvertedMultiIndex.scan]]) merges
+  *    each block's ascending cell ids with the prefix's, scores those
+  *    postings exactly (lines 13–15), reading the block's typed arrays in
+  *    place, and returns the block's own top-k by exact score. Every cell
+  *    lives in one block, so no shuffle; one task per core.
+  * 4. On the driver, select the top-k of the blocks' hits (line 17) and
+  *    sort only those k. Every hit is one stored vector with its own patch
+  *    id, so line 16's patch-id vote over per-subspace components has
+  *    nothing to decide.
   */
 object AnnSearch {
 
@@ -60,6 +60,7 @@ object AnnSearch {
              topA: Int = 4, rescoreFactor: Int = 20,
              scanFraction: Double = 0.35): (Seq[Candidate], AnnStats) = {
     require(k > 0, "k must be positive")
+    require(rescoreFactor >= 1, "rescoreFactor must be at least 1")
     val pq = index.pq
     val qn = VecOps.normalize(q)
     val table = pq.lut(qn)
@@ -87,30 +88,24 @@ object AnnSearch {
     // ranker on near-parallel embeddings, so a fixed multiple of k would
     // starve recall as the collection grows).
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4)
-    // Keep the selected cells scoring at least s*, the lowest score of the
-    // best-first prefix covering rescoreDepth; cells tied with s* stay in,
-    // as their postings may win the patch-id tie-break. A mask over
-    // directory positions lists the kept ids ascending (cellIds is sorted).
-    val best = java.util.Arrays.copyOf(cellPos, nSelected)
-    val nBest = bestCover(cellScores, cellIds, best, counts(_), rescoreDepth)
-    val byScore = Ordering.Double.TotalOrdering // java.lang.Double.compare, as in `before`
-    val mask = new Array[Boolean](cellIds.length)
-    if (nBest > 0) {
-      val sStar = best.iterator.take(nBest).map(cellScores(_)).min(byScore)
-      for (i <- 0 until nSelected if byScore.gteq(cellScores(cellPos(i)), sStar)) mask(cellPos(i)) = true
+    // The best-first prefix of the selected cells covering rescoreDepth,
+    // listed by ascending directory position, so by ascending cell id; its
+    // last cell in best-first order gives only what the depth still needs.
+    val prefix = java.util.Arrays.copyOf(cellPos, nSelected)
+    val rescoreCells = prefix.take(bestCover(cellScores, cellIds, prefix, counts(_), rescoreDepth)).sorted
+    val limits = rescoreCells.map(counts(_))
+    val last = rescoreCells.indices.reduceOption { (a, b) =>
+      if (before(cellScores, cellIds, rescoreCells(a), rescoreCells(b))) b else a
     }
-    val kept = Array.range(0, cellIds.length).filter(mask(_))
-    val scored = scoreSelected(index, kept.map(cellIds(_)), kept.map(cellScores(_)), qn)
-    val (pids, fids, boxes, adcs, exacts) =
-      (scored.patchIds, scored.frameIds, scored.boxes, scored.adc, scored.exact)
+    for (l <- last) limits(l) = math.min(limits(l), rescoreDepth - (limits.sum - limits(l)))
+    val hits = scoreSelected(index, rescoreCells.map(cellIds(_)), limits.map(_.toInt), qn, k)
+    val (pids, exacts) = (hits.patchIds, hits.exact)
 
-    val pos = Array.range(0, pids.length)
-    val nRescored = bestCover(adcs, pids, pos, _ => 1L, rescoreDepth)
-    val top = java.util.Arrays.copyOf(pos, nRescored)
+    val top = Array.range(0, pids.length)
     val nTop = bestCover(exacts, pids, top, _ => 1L, k.toLong)
     val topScores = Array.tabulate(nTop)(i => exacts(top(i)))
     val exact = bestFirst(topScores, Array.tabulate(nTop)(i => pids(top(i))))
-      .map { i => val j = top(i); Candidate(pids(j), fids(j), exacts(j), BBox.packed(boxes, j)) }
+      .map { i => val j = top(i); Candidate(pids(j), hits.frameIds(j), exacts(j), BBox.packed(hits.boxes, j)) }
       .toSeq
 
     val stats = AnnStats(
@@ -118,45 +113,45 @@ object AnnSearch {
       cellsScored = cellIds.length,
       cellsSelected = nSelected,
       candidates = covered,
-      rescored = nRescored)
+      rescored = limits.sum)
     (exact, stats)
   }
 
   /** One pass over the cached posting blocks: a merge walk of each block's
-    * ascending cells against the ascending `selected` ids visits only the
-    * selected cells' postings and emits each with its box, its cell's ADC
-    * score from `selectedScores` and its exact score (line 14), reading the
-    * block's arrays in place.
+    * ascending cells against the ascending `cells` ids scores the first
+    * `limits(s)` postings of cell `cells(s)` exactly (line 14), reading the
+    * block's arrays in place, and returns the block's top-k of them (score
+    * desc, patch id asc) with their ids and boxes: at most k per block.
     */
-  private def scoreSelected(index: InvertedMultiIndex, selected: Array[Long],
-                            selectedScores: Array[Double], qn: Array[Float]): ScoredPostings = {
+  private def scoreSelected(index: InvertedMultiIndex, cells: Array[Long],
+                            limits: Array[Int], qn: Array[Float], k: Int): ScoredPostings = {
     val dim = index.pq.dim
     val parts = index.scan { b =>
-      val (pids, fids) = (Array.newBuilder[Long], Array.newBuilder[Long])
-      val (bxs, adcs, exacts) = (Array.newBuilder[Double], Array.newBuilder[Double], Array.newBuilder[Double])
+      val (scanned, exacts) = (Array.newBuilder[Int], Array.newBuilder[Double])
       var c = 0
       var s = 0
-      while (c < b.cells.length && s < selected.length) {
-        if (b.cells(c) < selected(s)) c += 1
-        else if (b.cells(c) > selected(s)) s += 1
+      while (c < b.cells.length && s < cells.length) {
+        if (b.cells(c) < cells(s)) c += 1
+        else if (b.cells(c) > cells(s)) s += 1
         else {
-          for (j <- b.start(c) until b.start(c + 1)) {
-            pids += b.patchIds(j)
-            fids += b.frameIds(j)
-            bxs.addAll(b.boxes, 4 * j, 4)
-            adcs += selectedScores(s)
+          for (j <- b.start(c) until b.start(c) + limits(s)) {
+            scanned += j
             exacts += VecOps.dotAt(qn, b.embs, j * dim)
           }
           c += 1
           s += 1
         }
       }
-      ScoredPostings(pids.result(), fids.result(), bxs.result(), adcs.result(), exacts.result())
+      val (js, scores) = (scanned.result(), exacts.result())
+      val top = Array.range(0, js.length)
+      val n = bestCover(scores, js.map(b.patchIds(_)), top, _ => 1L, k.toLong)
+      val keep = top.take(n)
+      ScoredPostings(keep.map(i => b.patchIds(js(i))), keep.map(i => b.frameIds(js(i))),
+        keep.flatMap(i => b.boxes.slice(4 * js(i), 4 * js(i) + 4)), keep.map(scores(_)))
     }
     val all = parts.toSeq
     ScoredPostings(Array.concat(all.map(_.patchIds): _*), Array.concat(all.map(_.frameIds): _*),
-      Array.concat(all.map(_.boxes): _*), Array.concat(all.map(_.adc): _*),
-      Array.concat(all.map(_.exact): _*))
+      Array.concat(all.map(_.boxes): _*), Array.concat(all.map(_.exact): _*))
   }
 
   /** Whether position `a` comes before `b` in (score desc, id asc) order,

@@ -49,8 +49,8 @@ final case class PostingBlock(
   * the build's lineage. A driver-side cell directory (cell id -> posting
   * count) lets the query planner pick candidate cells without touching the
   * data. Every posting of a cell shares the cell's ADC score, so the planner
-  * scores cells, not postings, and a query then reads only the postings of
-  * the cells it rescores (a merge walk of each block's sorted cell ids).
+  * scores cells, not postings, and a query then reads only the postings it
+  * rescores (a merge walk of each block's sorted cell ids).
   */
 final case class InvertedMultiIndex(
     entries: RDD[PostingBlock],

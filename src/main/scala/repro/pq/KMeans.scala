@@ -39,7 +39,8 @@ object KMeans {
     val dim = P * m
     val sample = vecs.takeSample(withReplacement = false, M, seed)
     require(sample.nonEmpty, "cannot train PQ codebooks on an empty collection")
-    require(sample.forall(_.length == dim), s"expected vectors of dim $dim")
+    val data = vecs.collect()
+    require(data.forall(_.length == dim), s"expected vectors of dim $dim")
     val init: Array[Array[Float]] =
       if (sample.length >= M) sample
       else {
@@ -54,7 +55,6 @@ object KMeans {
     var centroids: Array[Array[Array[Float]]] =
       Array.tabulate(P, M)((p, c) => VecOps.subvector(init(c), p, m))
 
-    val data = vecs.collect()
     for (_ <- 0 until iters) {
       val sums = Array.fill(P, M, m)(0.0)
       val counts = Array.fill(P, M)(0L)

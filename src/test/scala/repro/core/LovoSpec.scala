@@ -93,7 +93,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("HNSW variant without a prebuilt graph is rejected") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.1").text)
-    intercept[RuntimeException] {
+    intercept[IllegalArgumentException] {
       Lovo.fastSearch(build, parsed, k = 5, AnnVariant.Hnsw, None)
     }
   }
@@ -147,7 +147,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     assertNarrow(work, indexScans = 1, sqlJobs = 1) // the index scan and the rerank
   }
 
-  test("an IVF-PQ fastSearch runs at most 2 narrow Spark jobs, one task per core") {
+  test("an IVF-PQ fastSearch runs exactly 1 narrow Spark job, one task per core") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
     // no warm-up call: the build leaves nothing to fill lazily
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(Lovo.fastSearch(build, parsed, k = 40))
@@ -155,12 +155,27 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     assertNarrow(work, indexScans = 1)
   }
 
-  test("a BF fastSearch runs at most 2 narrow Spark jobs, one task per core") {
+  test("a BF fastSearch runs exactly 1 narrow Spark job, one task per core") {
     val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
     val ((cands, _), work) = SparkWork.during(spark.sparkContext)(
       Lovo.fastSearch(build, parsed, k = 40, AnnVariant.Bf))
     assert(cands.size == 40)
     assertNarrow(work, indexScans = 1)
+  }
+
+  test("the IVF-PQ scan ships at most k hits per block, whatever the scan budget") {
+    // The scan job's result bytes stay flat from a 5 % to a full scan: each
+    // block returns its own exact top-k, not the postings it rescored.
+    val q = TextEncoder.fastEmbedding(TextEncoder.parse(Workloads.byId("Q1.2").text))
+    def scanBytes(f: Double): Long = {
+      val ((hits, stats), work) = SparkWork.during(spark.sparkContext)(
+        repro.index.AnnSearch.search(build.index, q, k = 10, scanFraction = f))
+      assert(hits.size == 10 && stats.rescored > blocks * 10, s"f=$f $stats")
+      assert(work.jobs == 1, work.toString)
+      work.resultBytesPerJob.head
+    }
+    val (small, full) = (scanBytes(0.05), scanBytes(1.0))
+    assert(full <= 1.5 * small, s"result bytes $full at scanFraction 1.0 against $small at 0.05")
   }
 
   test("per variant and entry point, a search runs its exact count of narrow Spark jobs") {
@@ -334,6 +349,11 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("LovoConfig validates PQ dimensions") {
     intercept[IllegalArgumentException] { LovoConfig(pqSubspaces = 3) }
+  }
+
+  test("LovoConfig rejects a rescoreFactor below 1") {
+    intercept[IllegalArgumentException] { LovoConfig(rescoreFactor = 0) }
+    assert(LovoConfig(rescoreFactor = 1).rescoreFactor == 1)
   }
 
   test("AnnVariant names round-trip") {

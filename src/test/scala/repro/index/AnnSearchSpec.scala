@@ -85,8 +85,9 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
 
   /** The search as a join plan: every directory cell scored and sorted as
     * boxed tuples, the selected cells' postings fetched with a left-semi
-    * join, ADC top-`rescoreDepth` by a global `orderBy`/`limit`, exact
-    * top-k on the driver. `AnnSearch.search` must answer exactly as this.
+    * join, ADC top-`rescoreDepth` in cell order (ADC desc, cell id, patch
+    * id) by a global `orderBy`/`limit`, exact top-k on the driver.
+    * `AnnSearch.search` must answer exactly as this.
     */
   private def joinPlanSearch(index: InvertedMultiIndex, q: Array[Float], k: Int,
                              rescoreFactor: Int = 20,
@@ -111,14 +112,14 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     val fetched = PostingRows.flatten(index).join(cellsDf, Seq("cellId"), "leftsemi").as[IndexedVec]
     val rescoreDepth = math.max(rescoreFactor.toLong * k, covered / 4).toInt
     val approx = fetched
-      .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.box, e.emb))
-      .toDF("patchId", "frameId", "approxScore", "box", "emb")
-      .orderBy(col("approxScore").desc, col("patchId"))
+      .map(e => (e.patchId, e.frameId, pq.adcScore(table, e.codes), e.cellId, e.box, e.emb))
+      .toDF("patchId", "frameId", "approxScore", "cellId", "box", "emb")
+      .orderBy(col("approxScore").desc, col("cellId"), col("patchId"))
       .limit(rescoreDepth)
-      .as[(Long, Long, Double, repro.vit.BBox, Array[Float])]
+      .as[(Long, Long, Double, Long, repro.vit.BBox, Array[Float])]
       .collect()
     val exact = approx
-      .map { case (pid, fid, _, box, emb) => Candidate(pid, fid, VecOps.dot(qn, emb), box) }
+      .map { case (pid, fid, _, _, box, emb) => Candidate(pid, fid, VecOps.dot(qn, emb), box) }
       .sortBy(h => (-h.score, h.patchId))
       .take(k)
       .toSeq
@@ -147,7 +148,7 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     assert(rescoreBeyondScan > 0, "no query had a rescore depth beyond the candidates scanned")
   }
 
-  test("cells tied at the rescore boundary are all scanned: search answers as the join plan") {
+  test("cells tied at the rescore boundary rank by cell id, as in the join plan") {
     // Hand-set codebooks on the diagonal and a query of 0.5s: every LUT
     // entry and cell score is exact in binary, so tied cells tie bit for bit.
     val diag = Array(1f, 0.5f, 0f, -1f)
@@ -172,13 +173,17 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     assert(boundary.map(java.lang.Double.doubleToRawLongBits).distinct.size == 1 && boundary.head == 1.0)
     assert(tied.cellIds.toSeq == Seq(0L, 2L, 5L, 8L, 15L))
 
-    // rescoreDepth = max(1 * 3, 11 / 4) = 3: the covering prefix is cells
-    // 0 and 2 (4 postings), but the third-best posting by (ADC, patch id)
-    // is patch 1 of the tied cell 8.
+    // rescoreDepth = max(1 * 3, 11 / 4) = 3: in cell order (ADC, cell id,
+    // patch id) the covering prefix is cell 0 (patches 10, 11) and cell 2,
+    // the lowest id of the tied cells, cut mid-cell to its lowest patch 40;
+    // patch 1 of the tied cell 8 ranks after both of cell 2's postings.
     val got = AnnSearch.search(tied, q, k = 3, rescoreFactor = 1, scanFraction = 1.0)
     assert(got == joinPlanSearch(tied, q, 3, rescoreFactor = 1, scanFraction = 1.0))
-    assert(got._1.map(_.patchId).toSet == Set(10L, 11L, 1L))
+    assert(got._1.map(_.patchId).toSet == Set(10L, 11L, 40L))
     assert(got._2.rescored == 3 && got._2.candidates == 11)
+    val cell2 = tied.cellCounts(tied.cellIds.indexOf(2L))
+    val cell0 = tied.cellCounts(tied.cellIds.indexOf(0L))
+    assert(cell0 < got._2.rescored && got._2.rescored < cell0 + cell2, "the rescore must cut cell 2 mid-cell")
     for (k <- Seq(1, 2, 5, 11); rf <- Seq(1, 2); f <- Seq(0.1, 1.0))
       assert(AnnSearch.search(tied, q, k, rescoreFactor = rf, scanFraction = f) ==
         joinPlanSearch(tied, q, k, rescoreFactor = rf, scanFraction = f), s"k=$k rescoreFactor=$rf scanFraction=$f")
@@ -241,5 +246,12 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
     intercept[IllegalArgumentException] {
       AnnSearch.search(index, Fixtures.clusterCentre(nClusters, dim, 0), k = 0)
     }
+  }
+
+  test("rescoreFactor must be at least 1") {
+    val q = Fixtures.clusterCentre(nClusters, dim, 0)
+    intercept[IllegalArgumentException](AnnSearch.search(index, q, k = 20, rescoreFactor = 0))
+    intercept[IllegalArgumentException](AnnSearch.search(index, q, k = 20, rescoreFactor = -1))
+    assert(AnnSearch.search(index, q, k = 20, rescoreFactor = 1)._1.size == 20)
   }
 }

@@ -73,6 +73,18 @@ class KMeansSpec extends SparkSpec {
     intercept[IllegalArgumentException] { ProductQuantizer.train(rdd, 1, 2, 4, iters = 2) }
   }
 
+  test("every collected vector's dimension is checked, not only the initial sample's") {
+    val P = 2; val m = 2; val M = 2
+    val data = blobs(200, P, m)
+    for (odd <- Seq(Array.fill(P * m + 1)(1f), Array.fill(P * m - 1)(1f))) {
+      val rdd = spark.sparkContext.parallelize(data :+ odd, 4)
+      val sample = rdd.takeSample(withReplacement = false, M, 42L)
+      assert(sample.forall(_.length == P * m), "the odd vector must lie outside the sample")
+      val e = intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, P, m, M, iters = 2) }
+      assert(e.getMessage.contains(s"dim ${P * m}"), e.getMessage)
+    }
+  }
+
   test("iters must be positive") {
     val rdd = spark.sparkContext.parallelize(blobs(10, 1, 2), 1)
     intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 2, iters = 0) }

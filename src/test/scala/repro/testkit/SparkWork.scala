@@ -12,6 +12,9 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
   * @param inputRecordsPerJob input records of each job, in job-start order:
   *                       for a job over a cached RDD, the cached blocks it
   *                       read from the cache (a recomputed block adds none)
+  * @param resultBytesPerJob bytes each job's tasks sent back to the driver
+  *                       (the summed task `resultSize`: the serialized
+  *                       results), in job-start order
   * @param outsideSqlPerJob whether each job, in job-start order, ran outside
   *                       every SQL execution the call started
   * @param shuffleStages  stages that wrote or read shuffle data
@@ -20,6 +23,7 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
   * @param sqlExecutions  SQL executions started
   */
 final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
+                           resultBytesPerJob: Seq[Long],
                            outsideSqlPerJob: Seq[Boolean], shuffleStages: Int,
                            shuffleMapStages: Int, sqlExecutions: Int) {
   def jobs: Int = tasksPerJob.size
@@ -33,8 +37,8 @@ final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
 
 object SparkWork {
 
-  /** Runs `body` and counts the jobs, tasks, input records, shuffle stages
-    * and SQL executions it launched. Counts every job of the context meanwhile,
+  /** Runs `body` and counts the jobs, tasks, input records, result bytes,
+    * shuffle stages and SQL executions it launched. Counts every job of the context meanwhile,
     * so the caller must be the only one running Spark work.
     */
   def during[T](sc: SparkContext)(body: => T): (T, SparkWork) = {
@@ -52,6 +56,7 @@ object SparkWork {
     private val jobOfStage = mutable.Map[Int, Int]()
     private val tasks = mutable.LinkedHashMap[Int, Int]()
     private val records = mutable.Map[Int, Long]()
+    private val resultBytes = mutable.Map[Int, Long]()
     private val shuffling = mutable.Set[Int]()
     private val mapStages = mutable.Set[Int]()
     private val executions = mutable.Set[Long]()
@@ -60,6 +65,7 @@ object SparkWork {
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       tasks(e.jobId) = 0
       records(e.jobId) = 0L
+      resultBytes(e.jobId) = 0L
       e.stageIds.foreach(jobOfStage(_) = e.jobId)
       executionOfJob(e.jobId) = Option(e.properties)
         .flatMap(p => Option(p.getProperty(SQLExecution.EXECUTION_ID_KEY))).map(_.toLong)
@@ -81,7 +87,10 @@ object SparkWork {
       val m = e.taskMetrics
       jobOfStage.get(e.stageId).foreach { j =>
         tasks(j) += 1
-        if (m != null) records(j) += m.inputMetrics.recordsRead
+        if (m != null) {
+          records(j) += m.inputMetrics.recordsRead
+          resultBytes(j) += m.resultSize
+        }
       }
       if (m != null && (m.shuffleReadMetrics.recordsRead > 0 || m.shuffleWriteMetrics.recordsWritten > 0))
         shuffling += e.stageId
@@ -89,7 +98,8 @@ object SparkWork {
 
     def work: SparkWork = synchronized {
       val jobs = tasks.keys.toSeq
-      SparkWork(jobs.map(tasks), jobs.map(records), jobs.map(j => !executionOfJob(j).exists(executions)),
+      SparkWork(jobs.map(tasks), jobs.map(records), jobs.map(resultBytes),
+        jobs.map(j => !executionOfJob(j).exists(executions)),
         shuffling.size, mapStages.size, executions.size)
     }
   }
