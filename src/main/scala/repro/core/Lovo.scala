@@ -1,12 +1,13 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions.{count, lit, when}
+import org.apache.spark.storage.StorageLevel
 import repro.encoder.TextEncoder
 import repro.index._
 import repro.pq.ProductQuantizer
 import repro.rerank.{CrossModalRerank, RerankResult}
-import repro.video.{DatasetConfig, FrameRec, Keyframes, PlantSpec, SynthVideo}
+import repro.video.{DatasetConfig, FrameBlock, FrameRec, Keyframes, PlantSpec, SynthVideo}
 import repro.vit.{PatchRec, VideoSummary}
 
 /** Operation counts of the offline build (cost-model inputs). */
@@ -21,10 +22,13 @@ final case class BuildCounts(
   * the vector index, whose posting blocks hold each patch's frame id and
   * box.
   *
-  * `frames` (a Dataset) and `index.entries` (an RDD of posting blocks)
-  * are cached and fully loaded. `patches` is not: the build releases its
+  * Two RDDs are cached and fully loaded: `frameBlocks`, the selected
+  * frames packed one [[FrameBlock]] per non-empty partition, which the
+  * rerank reads, and `index.entries`, the posting blocks. `frames` is an
+  * uncached view of the frame blocks, decoded on every read, with their
+  * partitions and order. `patches` is not cached: the build releases its
   * cache once the index holds every patch, since no query reads it;
-  * reading it recomputes the summary from the cached frames. `meta` is not
+  * reading it recomputes the summary from the frame blocks. `meta` is not
   * cached either: it is the metadata rows read from the posting blocks
   * ([[MetadataStore.fromIndex]]), which no `Lovo` call reads; the
   * benchmark's replay resolves hits through it.
@@ -36,7 +40,19 @@ final case class LovoBuild(
     patches: Dataset[PatchRec],
     index: InvertedMultiIndex,
     meta: Dataset[PatchMeta],
-    counts: BuildCounts)
+    counts: BuildCounts,
+    frameBlocks: RDD[FrameBlock])
+
+object LovoBuild {
+
+  /** A build over frames the caller holds: its frame blocks are uncached
+    * blocks of `frames`, packed on every read.
+    */
+  def apply(cfg: LovoConfig, dataset: DatasetConfig, frames: Dataset[FrameRec],
+            patches: Dataset[PatchRec], index: InvertedMultiIndex, meta: Dataset[PatchMeta],
+            counts: BuildCounts): LovoBuild =
+    LovoBuild(cfg, dataset, frames, patches, index, meta, counts, FrameBlock.blocks(frames))
+}
 
 /** One end-to-end query answer: ranked candidates and stage telemetry. */
 final case class LovoQueryResult(
@@ -50,11 +66,12 @@ final case class LovoQueryResult(
   */
 object Lovo {
 
-  /** Offline phase: generate/ingest video, select keyframes, summarize,
-    * train PQ codebooks, build the inverted multi-index, whose posting
-    * blocks also hold the boxes. Each vector is then cached once, in the
-    * index: the build releases the transient patch cache, which the
-    * index's cached blocks no longer need.
+  /** Offline phase: generate/ingest video, select keyframes and cache them
+    * as frame blocks, summarize, train PQ codebooks, build the inverted
+    * multi-index, whose posting blocks also hold the boxes. The collect of
+    * the raw and keyframe counts loads the frame blocks. Each vector is
+    * then cached once, in the index: the build releases the transient
+    * patch cache, which the index's cached blocks no longer need.
     *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
@@ -62,9 +79,11 @@ object Lovo {
   def build(spark: SparkSession, dataset: DatasetConfig, specs: Seq[PlantSpec],
             cfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): LovoBuild = {
     import spark.implicits._
-    val frames = Keyframes.select(SynthVideo.frames(spark, dataset, specs)).cache()
+    val frameBlocks = FrameBlock.blocks(Keyframes.select(SynthVideo.frames(spark, dataset, specs)))
+      .persist(StorageLevel.MEMORY_AND_DISK)
     val (rawFrames, keyFrames) =
-      frames.select(count(lit(1)), count(when($"isKey", true))).as[(Long, Long)].head()
+      frameBlocks.map(b => (b.size.toLong, b.isKey.count(identity).toLong)).collect().unzip
+    val frames = frameBlocks.flatMap(_.frames).toDS()
     val patches = VideoSummary.summarize(frames, cfg.summary, keyOnly).cache()
     val pq = ProductQuantizer.train(
       patches.map(_.emb).rdd, cfg.pqSubspaces, cfg.pqSubdim, cfg.pqCentroids,
@@ -72,8 +91,8 @@ object Lovo {
     val index = InvertedMultiIndex.build(patches, pq, cfg.indexPartitions)
     patches.unpersist(blocking = true)
     LovoBuild(cfg, dataset, frames, patches, index, MetadataStore.fromIndex(index),
-      BuildCounts(rawFrames, keyFrames, index.total, cfg.kmeansIters,
-        index.total * VideoSummary.bytesPerEntry))
+      BuildCounts(rawFrames.sum, keyFrames.sum, index.total, cfg.kmeansIters,
+        index.total * VideoSummary.bytesPerEntry), frameBlocks)
   }
 
   /** Build the HNSW variant's graph over the same stored vectors. */
@@ -103,8 +122,9 @@ object Lovo {
 
   /** Full two-stage query (Algorithm 2). With rerank disabled the fast
     * search candidates are returned as-is (Table IV w/o-rerank ablation).
-    * With rerank enabled the rerank takes the distinct frames of the hits
-    * in best-score order and its decoder predicts the boxes afresh.
+    * With rerank enabled the rerank reads the hits' frames from the cached
+    * frame blocks (one Spark job) and its decoder predicts the boxes
+    * afresh.
     */
   def query(b: LovoBuild, parsed: TextEncoder.ParsedQuery, k: Int,
             variant: AnnVariant = AnnVariant.IvfPq,
@@ -113,9 +133,8 @@ object Lovo {
     val (hits, stats) = fastSearch(b, parsed, k, variant, hnsw)
     if (!useRerank) return LovoQueryResult(hits, stats, None, k)
 
-    // Stage 2: rerank the distinct candidate frames (best-score order).
-    val frameOrder = hits.sortBy(h => (-h.score, h.frameId)).map(_.frameId).distinct
-    val rr = CrossModalRerank.rerank(b.frames, frameOrder, parsed, b.cfg.rerank)
+    // Stage 2: rerank the hits' frames.
+    val rr = CrossModalRerank.rerank(b.frameBlocks, hits.map(_.frameId), parsed, b.cfg.rerank)
     val reranked = rr.objects.take(k).map(o =>
       Candidate(patchId = -1L, frameId = o.frameId, score = o.score, box = o.box))
     LovoQueryResult(reranked, stats, Some(rr), k)

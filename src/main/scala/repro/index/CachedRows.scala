@@ -3,13 +3,13 @@ package repro.index
 import scala.reflect.ClassTag
 import org.apache.spark.sql.{Dataset, classic}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.encoders.{ExpressionEncoder, encoderFor}
 import org.apache.spark.sql.execution.{QueryExecution, SQLExecution}
 
 /** Per-query scans of a cached Dataset through its once-planned physical
-  * plan: the rerank's scan of the frames and the metadata store's lookup.
-  * (The index caches its posting blocks as an RDD of objects, which a scan
-  * reads directly; see [[InvertedMultiIndex.scan]].)
+  * plan. Only [[MetadataStore]] uses them, and only the benchmark's replay
+  * and the tests reach the store. (The posting blocks and the frame blocks
+  * are cached as RDDs of objects, which a scan reads directly; see
+  * [[InvertedMultiIndex.scan]] and [[repro.video.FrameBlock.scan]].)
   *
   * A Dataset operator (`filter`, `map`, `select`) builds a new plan that
   * Catalyst analyzes, optimizes and code-generates on every call. The
@@ -30,12 +30,6 @@ object CachedRows {
     require(i >= 0, s"no column $name among ${ds.columns.mkString(", ")}")
     i
   }
-
-  /** The Dataset's encoder bound to its analyzed output, so
-    * `createDeserializer()` turns one of its rows into a `T`.
-    */
-  def decoder[T](ds: Dataset[T]): ExpressionEncoder[T] =
-    encoderFor(ds.encoder).resolveAndBind(plan(ds).analyzed.output)
 
   /** Loads every partition of the Dataset's cache that is not loaded yet,
     * in one narrow job over the cache's own partitions (the job Spark's

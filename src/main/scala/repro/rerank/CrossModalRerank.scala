@@ -1,11 +1,11 @@
 package repro.rerank
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
 import repro.encoder.{SemanticSpace, TextEncoder}
-import repro.index.CachedRows
 import repro.util.Rng
 import repro.vit.BBox
-import repro.video.FrameRec
+import repro.video.{FrameBlock, FrameRec}
 
 /** One reranked object detection (frame + refined box + fused score). */
 final case class RerankedObject(frameId: Long, objId: Long, score: Double, box: BBox)
@@ -31,10 +31,10 @@ final case class RerankParams(sigmaFine: Double = 0.06, boxNoise: Double = 0.05)
   * verb / positional tokens that fast search dropped. An image-to-text
   * cross-attention layer fuses the modalities; the frame score l_s is the
   * best fused image-token/text affinity, and the decoder emits a refined
-  * box per object. Runs as one narrow Spark job over the cached frames
-  * ([[repro.index.CachedRows.scan]], planned once per frames Dataset, one
-  * task per core): it reads each row's frame id and deserializes and
-  * reranks only the candidate frames.
+  * box per object. Runs as one plain, narrow Spark job over the cached
+  * frame blocks ([[repro.video.FrameBlock.scan]], one task per core): each
+  * block binary-searches its frame ids for the candidates and decodes and
+  * reranks only those frames.
   */
 object CrossModalRerank {
 
@@ -76,30 +76,26 @@ object CrossModalRerank {
     (objs.map(_.score).max, objs)
   }
 
-  /** Rerank the given candidate frames against the full parsed query. */
-  def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],
-             parsed: TextEncoder.ParsedQuery,
-             params: RerankParams = RerankParams()): RerankResult = {
+  /** Rerank the given candidate frames against the full parsed query. The
+    * result does not depend on the order of `candidateFrames` or on
+    * repeated ids; ids of frames the blocks lack are ignored.
+    */
+  def rerank(frames: RDD[FrameBlock], candidateFrames: Seq[Long],
+             parsed: TextEncoder.ParsedQuery, params: RerankParams): RerankResult = {
     val ids = candidateFrames.distinct.toArray.sorted
     if (ids.isEmpty)
       return RerankResult(Seq.empty, Seq.empty, 0, 0L, parsed.allTokens.size)
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
-    // The frame id is read first, so only the candidate frames are
-    // deserialized, by the Dataset's encoder bound to its own columns.
-    val frameCol = CachedRows.column(frames, "frameId")
-    val enc = CachedRows.decoder(frames)
     val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] =
-      CachedRows.scan(frames, "rerank") { rows =>
-        val fromRow = enc.createDeserializer()
-        rows.collect {
-          case r if java.util.Arrays.binarySearch(ids, r.getLong(frameCol)) >= 0 =>
-            val fr = fromRow(r)
-            val (ls, objs) = rerankFrame(fr, textTokens, params)
-            (fr.frameId, ls, objs, fr.objects.size)
+      FrameBlock.scan(frames) { b =>
+        ids.map(b.indexOf).filter(_ >= 0).map { i =>
+          val fr = b.frame(i)
+          val (ls, objs) = rerankFrame(fr, textTokens, params)
+          (fr.frameId, ls, objs, fr.objects.size)
         }
-      }
+      }.flatten
 
     val frameScores = perFrame.map { case (fid, ls, _, _) => (fid, ls) }
       .sortBy { case (fid, ls) => (-ls, fid) }.toSeq
@@ -112,4 +108,10 @@ object CrossModalRerank {
       totalImageTokens = perFrame.map(_._4.toLong).sum,
       textTokens = textTokens.length)
   }
+
+  /** [[rerank]] over uncached blocks of a frames Dataset, packed per call. */
+  def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],
+             parsed: TextEncoder.ParsedQuery,
+             params: RerankParams = RerankParams()): RerankResult =
+    rerank(FrameBlock.blocks(frames), candidateFrames, parsed, params)
 }

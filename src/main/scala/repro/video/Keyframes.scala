@@ -12,6 +12,11 @@ import org.apache.spark.sql.functions._
   * a frame is a keyframe iff its motion exceeds the threshold while the
   * previous frame's did not (the first frame of a video has no
   * predecessor and qualifies whenever it is above threshold).
+  *
+  * The frames are hash-partitioned by video id into
+  * `spark.sql.shuffle.partitions` partitions, each in (video id, idx)
+  * order. The partition count is stated, so the adaptive planner keeps it
+  * and the output has the same partitions whether it is cached or not.
   */
 object Keyframes {
 
@@ -22,6 +27,7 @@ object Keyframes {
     import spark.implicits._
     val w = Window.partitionBy($"videoId").orderBy($"idx")
     frames.toDF
+      .repartition(spark.conf.get("spark.sql.shuffle.partitions").toInt, $"videoId")
       .withColumn("prevMotion", lag($"motion", 1, 0.0).over(w))
       .withColumn("isKey", $"motion" > threshold && $"prevMotion" <= threshold)
       .drop("prevMotion")

@@ -121,22 +121,25 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     }
   }
 
-  /** The posting blocks the index caches, one per non-empty partition. */
-  private lazy val blocks = build.index.entries.count()
-
-  /** Exactly `indexScans + sqlJobs` narrow jobs, one task per core. Each
-    * index scan is a plain RDD job, outside every SQL execution, that reads
-    * every posting block once from the cache (a recomputed block would
-    * read none). The other jobs (the rerank) run inside a SQL execution,
-    * so their cached scans report rows, not batches.
+  /** The posting blocks the index caches and the frame blocks the build
+    * caches, one per non-empty partition of each.
     */
-  private def assertNarrow(work: SparkWork, indexScans: Int, sqlJobs: Int = 0, label: String = ""): Unit = {
+  private lazy val blocks = build.index.entries.count()
+  private lazy val frameBlocks = build.frameBlocks.count()
+
+  /** Exactly `indexScans + rerankScans` narrow jobs, one task per core,
+    * and no SQL execution. Each is a plain RDD job that reads every block
+    * of its cache once (a recomputed block would read none): the index
+    * scans, which run first, read every posting block, and the rerank
+    * every frame block.
+    */
+  private def assertNarrow(work: SparkWork, indexScans: Int, rerankScans: Int = 0, label: String = ""): Unit = {
     val clue = s"$label $work"
-    assert(work.jobs == indexScans + sqlJobs, clue)
+    assert(work.jobs == indexScans + rerankScans, clue)
     assert(work.shuffleStages == 0, clue)
     assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), clue)
-    assert(work.inputRecordsOutsideSql == Seq.fill(indexScans)(blocks), clue)
-    assert((work.sqlExecutions >= 1) == (sqlJobs > 0), clue)
+    assert(work.sqlExecutions == 0, clue)
+    assert(work.inputRecordsPerJob == Seq.fill(indexScans)(blocks) ++ Seq.fill(rerankScans)(frameBlocks), clue)
   }
 
   test("an IVF-PQ query with rerank runs at most 2 narrow Spark jobs, one task per core") {
@@ -144,7 +147,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     Lovo.query(build, parsed, k = 40) // fills any lazily built cache first
     val (res, work) = SparkWork.during(spark.sparkContext)(Lovo.query(build, parsed, k = 40))
     assert(res.rerank.exists(_.framesProcessed > 0))
-    assertNarrow(work, indexScans = 1, sqlJobs = 1) // the index scan and the rerank
+    assertNarrow(work, indexScans = 1, rerankScans = 1)
   }
 
   test("an IVF-PQ fastSearch runs exactly 1 narrow Spark job, one task per core") {
@@ -225,7 +228,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     assertNarrow(work, indexScans = 1)
   }
 
-  test("Lovo.build runs 10 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+  test("Lovo.build runs 7 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
       Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
     try {
@@ -233,8 +236,8 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
       assert(coords(again) == coords(build))
       assert(again.index.cellDirectory == build.index.cellDirectory)
-      assert(work.jobs == 10, work.toString)
-    } finally { again.frames.unpersist(); again.index.entries.unpersist() }
+      assert(work.jobs == 7, work.toString)
+    } finally { again.frameBlocks.unpersist(); again.index.entries.unpersist() }
   }
 
   test("Lovo.build leaves exactly the frames and the posting blocks cached and loaded, no metadata store and no patches") {
@@ -242,14 +245,14 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     val before = CachedStorage.list(sc).map(_.id).toSet
     val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
     try {
-      val ids = Seq(CachedStorage.rddOf(again.frames), Some(again.index.entries.id))
-      assert(ids.forall(_.isDefined), ids.toString)
+      val ids = Set(again.frameBlocks.id, again.index.entries.id)
       val added = CachedStorage.list(sc).filterNot(r => before(r.id))
-      assert(added.size == 2 && added.map(_.id).toSet == ids.flatten.toSet, added.toString)
+      assert(added.size == 2 && added.map(_.id).toSet == ids, added.toString)
       assert(added.forall(_.loaded), added.toString)
+      assert(again.frames.storageLevel == StorageLevel.NONE && CachedStorage.rddOf(again.frames).isEmpty)
       assert(again.meta.storageLevel == StorageLevel.NONE && CachedStorage.rddOf(again.meta).isEmpty)
       assert(again.patches.storageLevel == StorageLevel.NONE)
-    } finally { again.frames.unpersist(blocking = true); again.index.entries.unpersist(blocking = true) }
+    } finally { again.frameBlocks.unpersist(blocking = true); again.index.entries.unpersist(blocking = true) }
   }
 
   test("releasing the patch cache changes no answer and re-plans no loaded store") {
@@ -258,15 +261,16 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
       (Lovo.fastSearch(build, parsed, k = 40, v, hnsw), Lovo.query(build, parsed, k = 40, v, hnsw = hnsw))
     }
-    def storeIds() = Seq(CachedStorage.rddOf(build.frames), Some(build.index.entries.id))
+    // Both stores are RDDs, which Spark never re-plans: they stay listed
+    // under their ids, every partition loaded.
+    val ids = Seq(build.frameBlocks.id, build.index.entries.id)
     // The build as it stood before its last step, with the patch cache loaded.
     build.patches.cache().count()
-    val (before, idsBefore) = (answers(), storeIds())
+    val before = answers()
     build.patches.unpersist(blocking = true)
     assert(answers() == before)
-    assert(storeIds() == idsBefore, "a loaded store was re-planned")
-    val cached = CachedStorage.list(spark.sparkContext).filter(r => idsBefore.contains(Some(r.id)))
-    assert(cached.size == idsBefore.size && cached.forall(_.loaded), cached.toString)
+    val cached = CachedStorage.list(spark.sparkContext).filter(r => ids.contains(r.id))
+    assert(cached.size == ids.size && cached.forall(_.loaded), cached.toString)
     assert(build.patches.storageLevel == StorageLevel.NONE)
   }
 
@@ -296,7 +300,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       assert(rows() == rowsBefore)
       assert(answers() == answersBefore)
       assert(CachedStorage.list(sc).exists(r => r.id == entries.id && r.loaded))
-    } finally { again.frames.unpersist(blocking = true); entries.unpersist(blocking = true) }
+    } finally { again.frameBlocks.unpersist(blocking = true); entries.unpersist(blocking = true) }
   }
 
   test("a reranked query equals rerank over fastSearch's resolved candidates, on every variant") {

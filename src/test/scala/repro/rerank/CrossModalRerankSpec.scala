@@ -59,7 +59,7 @@ class CrossModalRerankSpec extends SparkSpec {
   test("distributed rerank over a bundle returns ordered frames and counts") {
     val b = Fixtures.cityscapes
     val someFrames = b.build.frames.filter(_.isKey).take(6).map(_.frameId).toSeq
-    val rr = CrossModalRerank.rerank(b.build.frames, someFrames, parsed, params)
+    val rr = CrossModalRerank.rerank(b.build.frameBlocks, someFrames, parsed, params)
     assert(rr.framesProcessed == someFrames.size)
     assert(rr.textTokens == parsed.tokens.size)
     assert(rr.totalImageTokens > 0)
@@ -70,7 +70,7 @@ class CrossModalRerankSpec extends SparkSpec {
 
   test("rerank of no candidate frames is empty") {
     val b = Fixtures.cityscapes
-    val rr = CrossModalRerank.rerank(b.build.frames, Seq.empty, parsed, params)
+    val rr = CrossModalRerank.rerank(b.build.frameBlocks, Seq.empty, parsed, params)
     assert(rr.objects.isEmpty && rr.framesProcessed == 0)
   }
 
@@ -79,7 +79,7 @@ class CrossModalRerankSpec extends SparkSpec {
     val all = b.build.frames.collect()
     val keys = all.filter(_.isKey).take(5).map(_.frameId).toSeq
     val candidates = keys ++ Seq(keys(1), -7L, keys.head, Long.MaxValue)
-    val rr = CrossModalRerank.rerank(b.build.frames, candidates, parsed, params)
+    val rr = CrossModalRerank.rerank(b.build.frameBlocks, candidates, parsed, params)
     val perFrame = all.filter(f => candidates.contains(f.frameId)).map { fr =>
       val (ls, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
       (fr.frameId, ls, objs, fr.objects.size)
@@ -92,15 +92,18 @@ class CrossModalRerankSpec extends SparkSpec {
       textTokens = textTokens.length)
     assert(rr == expected)
     assert(rr.framesProcessed == keys.distinct.size, "distinct existing frames")
+    assert(CrossModalRerank.rerank(b.build.frameBlocks, candidates.reverse, parsed, params) == expected,
+      "the candidates' order decides nothing")
   }
 
   test("rerank finds columns by name, not by case-class field position") {
     import spark.implicits._
-    val frames = Fixtures.cityscapes.build.frames
+    val build = Fixtures.cityscapes.build
+    val frames = build.frames
     val reordered = frames.select(frames.columns.reverse.map(frames(_)).toIndexedSeq: _*).as[FrameRec]
     assert(reordered.columns.toSeq != frames.columns.toSeq)
     val fs = frames.filter(_.isKey).take(5).map(_.frameId).toSeq
-    val expected = CrossModalRerank.rerank(frames, fs, parsed, params)
+    val expected = CrossModalRerank.rerank(build.frameBlocks, fs, parsed, params)
     assert(expected.framesProcessed == fs.size && expected.objects.nonEmpty)
     assert(CrossModalRerank.rerank(reordered, fs, parsed, params) == expected)
   }
@@ -121,8 +124,8 @@ class CrossModalRerankSpec extends SparkSpec {
   test("rerank is deterministic") {
     val b = Fixtures.cityscapes
     val fs = b.build.frames.filter(_.isKey).take(4).map(_.frameId).toSeq
-    val a = CrossModalRerank.rerank(b.build.frames, fs, parsed, params)
-    val c = CrossModalRerank.rerank(b.build.frames, fs, parsed, params)
+    val a = CrossModalRerank.rerank(b.build.frameBlocks, fs, parsed, params)
+    val c = CrossModalRerank.rerank(b.build.frameBlocks, fs, parsed, params)
     assert(a.objects == c.objects)
     assert(a.frameScores == c.frameScores)
   }

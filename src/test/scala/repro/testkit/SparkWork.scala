@@ -29,10 +29,6 @@ final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
   def jobs: Int = tasksPerJob.size
 
   def jobsOutsideSql: Int = outsideSqlPerJob.count(identity)
-
-  /** Input records of each job that ran outside every SQL execution. */
-  def inputRecordsOutsideSql: Seq[Long] =
-    inputRecordsPerJob.zip(outsideSqlPerJob).collect { case (n, true) => n }
 }
 
 object SparkWork {
