@@ -4,6 +4,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.sql.{Dataset, classic}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.execution.{QueryExecution, SQLExecution}
+import repro.util.ScanJob
 
 /** Per-query scans of a cached Dataset through its once-planned physical
   * plan. Only [[MetadataStore]] uses them, and only the benchmark's replay
@@ -46,15 +47,16 @@ object CachedRows {
       }
   }
 
-  /** Runs `f` over each partition of the Dataset's physical rows, at
-    * `defaultParallelism` tasks, and collects what it emits: one narrow
-    * Spark job, run as a SQL execution named `name`, so the job still
-    * reports its cached-scan row metric.
+  /** Runs `f` over each partition of the Dataset's physical rows and
+    * collects what it emits: one narrow Spark job of at most
+    * `defaultParallelism` tasks ([[ScanJob.collect]]), run as a SQL
+    * execution named `name`, so the job still reports its cached-scan row
+    * metric.
     */
   def scan[U: ClassTag](ds: Dataset[_], name: String)(f: Iterator[InternalRow] => Iterator[U]): Array[U] = {
     val qe = plan(ds)
     SQLExecution.withNewExecutionId(qe, Some(name)) {
-      qe.toRdd.coalesce(qe.sparkSession.sparkContext.defaultParallelism).mapPartitions(f).collect()
+      ScanJob.collect(qe.toRdd)(f)
     }
   }
 }

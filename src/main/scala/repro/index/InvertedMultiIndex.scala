@@ -5,6 +5,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, functions => F}
 import org.apache.spark.storage.StorageLevel
 import repro.pq.ProductQuantizer
+import repro.util.ScanJob
 import repro.vit.PatchRec
 
 /** The postings of one index partition, sorted by cell and addressable by
@@ -73,13 +74,15 @@ final case class InvertedMultiIndex(
   /** `cellCodes(i)` holds the decoded PQ codes of cell `cellIds(i)`. */
   lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
 
-  /** Runs `f` on every cached posting block and collects what it returns:
-    * one narrow Spark job at `defaultParallelism` tasks, one per core.
+  /** Runs `f` on every cached posting block and collects what it returns,
+    * in block order: one narrow Spark job of at most `defaultParallelism`
+    * tasks ([[ScanJob.collect]], which calls `SparkContext.runJob` directly
+    * to skip the closure cleaning `map(f).collect()` repeats per call).
     * Each task ships `f`, so `f` must capture query-sized values only,
     * never the index and its directory.
     */
   def scan[U: ClassTag](f: PostingBlock => U): Array[U] =
-    entries.coalesce(entries.sparkContext.defaultParallelism).map(f).collect()
+    ScanJob.collect(entries)(_.map(f))
 }
 
 object InvertedMultiIndex {

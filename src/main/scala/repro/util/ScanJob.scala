@@ -1,0 +1,33 @@
+package repro.util
+
+import scala.reflect.ClassTag
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
+
+/** The one per-query collect of the program. Every query-time scan of a
+  * cache runs through [[collect]]: the posting-block scan
+  * ([[repro.index.InvertedMultiIndex.scan]]), the frame-block scan
+  * ([[repro.video.FrameBlock.scan]]) and the metadata store's row scan
+  * ([[repro.index.CachedRows.scan]]). The build's collects do not: they load
+  * the caches at full partition parallelism.
+  */
+private[repro] object ScanJob {
+
+  /** Runs `f` over each partition of `rdd` coalesced to `defaultParallelism`
+    * and returns what it emits, partition by partition in partition order:
+    * one narrow Spark job of at most `defaultParallelism` tasks (coalescing
+    * never adds partitions), each task reading its parent partitions once.
+    *
+    * It calls `SparkContext.runJob` with a `(TaskContext, Iterator)`
+    * function directly. `RDD.map(f).collect()` would also clean Spark's
+    * own wrapper lambdas on every call (ASM reads of their class files on
+    * the driver), which made up most of a small job's fixed cost; this form
+    * cleans one closure, the caller's. Each task ships `f`, so `f` must
+    * capture query-sized values only.
+    */
+  def collect[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => Iterator[U]): Array[U] = {
+    val coalesced = rdd.coalesce(rdd.sparkContext.defaultParallelism)
+    rdd.sparkContext.runJob(coalesced, (_: TaskContext, it: Iterator[T]) => f(it).toArray,
+      coalesced.partitions.indices).flatten
+  }
+}

@@ -4,6 +4,7 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.Dataset
+import repro.util.ScanJob
 
 /** The frames of one partition in ascending frame-id order, packed into
   * primitive arrays: frame `i`'s objects are `objStart(i) until
@@ -78,10 +79,13 @@ object FrameBlock {
     frames.rdd.mapPartitions(fs =>
       if (fs.hasNext) Iterator(pack(fs.toArray.sortBy(_.frameId))) else Iterator.empty)
 
-  /** Runs `f` on every block and collects what it returns: one narrow
-    * Spark job at `defaultParallelism` tasks, one per core. Each task
-    * ships `f`, so `f` must capture query-sized values only.
+  /** Runs `f` on every block and collects what it returns, in block
+    * order: one narrow Spark job of at most `defaultParallelism` tasks
+    * ([[ScanJob.collect]], which calls `SparkContext.runJob` directly to
+    * skip the closure cleaning `map(f).collect()` repeats per call). A
+    * one-video dataset has one block, so one of those tasks does all the
+    * work. Each task ships `f`, so `f` must capture query-sized values only.
     */
   def scan[U: ClassTag](blocks: RDD[FrameBlock])(f: FrameBlock => U): Array[U] =
-    blocks.coalesce(blocks.sparkContext.defaultParallelism).map(f).collect()
+    ScanJob.collect(blocks)(_.map(f))
 }

@@ -240,6 +240,27 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     } finally { again.frameBlocks.unpersist(); again.index.entries.unpersist() }
   }
 
+  test("Lovo.build's collects load at full partition parallelism: no build stage is coalesced, unlike a query scan") {
+    // The frame counts, the PQ learning-set collect and the directory
+    // collect each read every partition in its own task; only the
+    // per-query scans coalesce to defaultParallelism.
+    val sc = spark.sparkContext
+    val (again, work) = SparkWork.during(sc)(
+      Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
+    try {
+      assert(work.stages.nonEmpty && work.stages.forall(_.fullWidth), work.stages.mkString("\n"))
+      for (cache <- Seq(again.frameBlocks, again.index.entries))
+        assert(work.stages.exists(s => s.rddPartitions.contains(cache.id) && s.tasks == cache.getNumPartitions),
+          s"$cache\n${work.stages.mkString("\n")}")
+      // the same check sees a query scan narrow its caches to the cores
+      val parsed = TextEncoder.parse(Workloads.byId("Q1.2").text)
+      val (_, scan) = SparkWork.during(sc)(Lovo.query(again, parsed, k = 40))
+      assert(scan.stages.size == 2, scan.toString)
+      assert(scan.stages.forall(s => s.tasks == math.min(s.rddPartitions.values.max, sc.defaultParallelism)),
+        scan.stages.mkString("\n"))
+    } finally { again.frameBlocks.unpersist(); again.index.entries.unpersist() }
+  }
+
   test("Lovo.build leaves exactly the frames and the posting blocks cached and loaded, no metadata store and no patches") {
     val sc = spark.sparkContext
     val before = CachedStorage.list(sc).map(_.id).toSet

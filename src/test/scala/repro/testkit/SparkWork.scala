@@ -21,14 +21,25 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
   * @param shuffleMapStages stages that wrote shuffle output, one per
   *                       exchange run
   * @param sqlExecutions  SQL executions started
+  * @param stages         the shape of each submitted stage, in submission order
   */
 final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
                            resultBytesPerJob: Seq[Long],
                            outsideSqlPerJob: Seq[Boolean], shuffleStages: Int,
-                           shuffleMapStages: Int, sqlExecutions: Int) {
+                           shuffleMapStages: Int, sqlExecutions: Int,
+                           stages: Seq[StageShape]) {
   def jobs: Int = tasksPerJob.size
 
   def jobsOutsideSql: Int = outsideSqlPerJob.count(identity)
+}
+
+/** One submitted stage: its task count and the partition count of each RDD
+  * it computes, by RDD id. A stage whose RDDs all have `tasks` partitions
+  * runs at the full width of what it reads; a coalesce inside the stage
+  * shows as an RDD with more partitions than the stage has tasks.
+  */
+final case class StageShape(tasks: Int, rddPartitions: Map[Int, Int]) {
+  def fullWidth: Boolean = rddPartitions.values.forall(_ == tasks)
 }
 
 object SparkWork {
@@ -57,6 +68,7 @@ object SparkWork {
     private val mapStages = mutable.Set[Int]()
     private val executions = mutable.Set[Long]()
     private val executionOfJob = mutable.Map[Int, Option[Long]]()
+    private val stages = mutable.ArrayBuffer[StageShape]()
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       tasks(e.jobId) = 0
@@ -73,6 +85,7 @@ object SparkWork {
     }
 
     override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = synchronized {
+      stages += StageShape(e.stageInfo.numTasks, e.stageInfo.rddInfos.map(r => r.id -> r.numPartitions).toMap)
       if (TestInternals.isShuffleMapStage(e.stageInfo)) {
         shuffling += e.stageInfo.stageId
         mapStages += e.stageInfo.stageId
@@ -96,7 +109,7 @@ object SparkWork {
       val jobs = tasks.keys.toSeq
       SparkWork(jobs.map(tasks), jobs.map(records), jobs.map(resultBytes),
         jobs.map(j => !executionOfJob(j).exists(executions)),
-        shuffling.size, mapStages.size, executions.size)
+        shuffling.size, mapStages.size, executions.size, stages.toSeq)
     }
   }
 }
