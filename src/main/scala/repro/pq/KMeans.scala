@@ -8,11 +8,15 @@ import repro.util.{Rng, VecOps}
   * Trains the P product-quantization codebooks *jointly* on a learning set
   * held in memory, as Jégou et al. [31] do: the vectors are collected once,
   * and each iteration assigns every subvector and recomputes the per-cluster
-  * means on the driver. So training runs the same few Spark jobs (the
-  * initial sample and one collect) whatever `iters` is. The collection
-  * must fit in driver memory: D' = 32 floats per vector, about 44 MB for
-  * the 345,600 entries of the largest bench build. Assignment uses
-  * Euclidean distance in each m-dimensional subspace, as in the paper.
+  * means on the driver. So training runs one Spark job (the collect)
+  * whatever `iters` is. The collection must fit in driver memory: D' = 32
+  * floats per vector, about 44 MB for the 345,600 entries of the largest
+  * bench build. Assignment uses Euclidean distance in each m-dimensional
+  * subspace, as in the paper.
+  *
+  * The codebooks are a function of the vectors alone: the collected vectors
+  * are put in content order before anything reads them, so neither the
+  * partitioning nor the order of the collection changes a coordinate.
   */
 object KMeans {
 
@@ -29,18 +33,24 @@ object KMeans {
 
   /** Train P codebooks of M centroids each over `vecs` (dim = P*m).
     *
-    * Initialization takes a deterministic sample of M vectors (jittered
-    * copies pad out degenerate inputs with fewer than M points). Each
-    * iteration sums the vectors in collection order, in doubles.
+    * The collected vectors are sorted by content (lexicographic
+    * `Float.compare`, so equal vectors are interchangeable). The initial
+    * centroids are the M vectors with the smallest seeded hash of their
+    * content, ties in content order; jittered copies pad out degenerate
+    * inputs with fewer than M points. Each iteration sums the vectors in
+    * content order, in doubles.
     */
   def trainProduct(vecs: RDD[Array[Float]], P: Int, m: Int, M: Int,
                    iters: Int = 8, seed: Long = 42L): Array[Array[Array[Float]]] = {
     require(iters >= 1, "need at least one Lloyd iteration")
     val dim = P * m
-    val sample = vecs.takeSample(withReplacement = false, M, seed)
-    require(sample.nonEmpty, "cannot train PQ codebooks on an empty collection")
     val data = vecs.collect()
+    require(data.nonEmpty, "cannot train PQ codebooks on an empty collection")
     require(data.forall(_.length == dim), s"expected vectors of dim $dim")
+    java.util.Arrays.sort(data, (a: Array[Float], b: Array[Float]) => java.util.Arrays.compare(a, b))
+    val hash = data.map(v => Rng.mix(seed, java.util.Arrays.hashCode(v).toLong))
+    // a stable sort: equal hashes keep content order
+    val sample = data.indices.sortBy(hash(_)).take(M).map(data).toArray
     val init: Array[Array[Float]] =
       if (sample.length >= M) sample
       else {

@@ -16,7 +16,11 @@ import org.apache.spark.sql.functions._
   * The frames are hash-partitioned by video id into
   * `spark.sql.shuffle.partitions` partitions, each in (video id, idx)
   * order. The partition count is stated, so the adaptive planner keeps it
-  * and the output has the same partitions whether it is cached or not.
+  * rather than coalescing the window's output: it sets how many frame
+  * blocks the build caches and how many tasks summarize the frames. No
+  * index and no `Lovo` answer depends on it (the PQ training is
+  * order-free); only the time of the build and of the scans over the
+  * blocks does.
   */
 object Keyframes {
 

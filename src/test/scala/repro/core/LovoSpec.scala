@@ -6,6 +6,7 @@ import repro.encoder.TextEncoder
 import repro.eval.{Detection, Metrics, Workloads}
 import repro.index.PostingRows
 import repro.testkit.{CachedStorage, Fixtures, PropertyChecks, SparkWork}
+import repro.video.Datasets
 import repro.vit.PatchGrid
 
 class LovoSpec extends SparkSpec with PropertyChecks {
@@ -228,7 +229,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     assertNarrow(work, indexScans = 1)
   }
 
-  test("Lovo.build runs 7 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
+  test("Lovo.build runs 5 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
       Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
     try {
@@ -236,8 +237,38 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
       assert(coords(again) == coords(build))
       assert(again.index.cellDirectory == build.index.cellDirectory)
-      assert(work.jobs == 7, work.toString)
+      assert(work.jobs == 5, work.toString)
     } finally { again.frameBlocks.unpersist(); again.index.entries.unpersist() }
+  }
+
+  test("no build result depends on the partition layout: QVHighlights x0.1 at 64 and 17 shuffle partitions") {
+    val ds = Datasets.byName("qvhighlights").scaled(0.1)
+    val specs = Workloads.forDataset(ds.name)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val builds = scala.collection.mutable.ArrayBuffer.empty[LovoBuild]
+    try {
+      def buildAt(partitions: Int): LovoBuild = {
+        spark.conf.set(key, partitions.toString)
+        val x = Lovo.build(spark, ds, Workloads.plantSpecsFor(ds.name))
+        builds += x
+        x
+      }
+      val (a, z) = (buildAt(64), buildAt(17))
+      assert(a.frameBlocks.getNumPartitions == 64 && z.frameBlocks.getNumPartitions == 17)
+      def bits(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.map(java.lang.Float.floatToRawIntBits).toSeq
+      assert(bits(a) == bits(z))
+      assert(a.index.cellDirectory == z.index.cellDirectory)
+      assert(specs.nonEmpty)
+      for (spec <- specs) {
+        val parsed = TextEncoder.parse(spec.text)
+        val k = math.min(a.cfg.retrievalMultiplier.toLong * spec.nPos, a.counts.entries).toInt.max(1)
+        assert(Lovo.query(a, parsed, k).candidates == Lovo.query(z, parsed, k).candidates, spec.id)
+      }
+    } finally {
+      spark.conf.set(key, saved)
+      builds.foreach { x => x.frameBlocks.unpersist(); x.index.entries.unpersist() }
+    }
   }
 
   test("Lovo.build's collects load at full partition parallelism: no build stage is coalesced, unlike a query scan") {

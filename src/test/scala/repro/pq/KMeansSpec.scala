@@ -76,13 +76,25 @@ class KMeansSpec extends SparkSpec {
   test("every collected vector's dimension is checked, not only the initial sample's") {
     val P = 2; val m = 2; val M = 2
     val data = blobs(200, P, m)
-    for (odd <- Seq(Array.fill(P * m + 1)(1f), Array.fill(P * m - 1)(1f))) {
-      val rdd = spark.sparkContext.parallelize(data :+ odd, 4)
-      val sample = rdd.takeSample(withReplacement = false, M, 42L)
-      assert(sample.forall(_.length == P * m), "the odd vector must lie outside the sample")
+    for (odd <- Seq(Array.fill(P * m + 1)(1f), Array.fill(P * m - 1)(1f));
+         vecs <- Seq(data :+ odd, odd +: data)) {
+      val rdd = spark.sparkContext.parallelize(vecs, 4)
       val e = intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, P, m, M, iters = 2) }
       assert(e.getMessage.contains(s"dim ${P * m}"), e.getMessage)
     }
+  }
+
+  test("the codebooks are a function of the vectors alone: any partitioning or order trains the same bits") {
+    val P = 2; val m = 3; val M = 8
+    val distinct = (0 until 300).map(i =>
+      Array.tabulate(P * m)(j => Rng.gaussian(Rng.mix(i.toLong, 3L), j.toLong).toFloat))
+    val data = distinct ++ distinct.take(30).map(_.clone) // equal vectors are interchangeable
+    def bits(vecs: Seq[Array[Float]], parts: Int): Seq[Int] =
+      KMeans.trainProduct(spark.sparkContext.parallelize(vecs, parts), P, m, M, iters = 3)
+        .flatten.flatten.map(java.lang.Float.floatToRawIntBits).toSeq
+    val reference = bits(data, 1)
+    for (parts <- Seq(1, 3, 7); vecs <- Seq(data, data.reverse))
+      assert(bits(vecs, parts) == reference, s"$parts partitions, ${if (vecs eq data) "forward" else "reversed"}")
   }
 
   test("iters must be positive") {
