@@ -1,29 +1,16 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{Bundle, Harness}
+import repro.eval.Bundles
 
-/** Shared full-scale dataset bundles for the bench suites.
+/** The dataset bundles the bench suites share, one [[Bundles]] per JVM.
   *
   * Scale defaults to 1.0 (the paper calibration of DESIGN.md §5); set
-  * REPRO_BENCH_SCALE to run a faster reduced pass. Bundles are built
-  * once per JVM and shared across the table suites.
+  * REPRO_BENCH_SCALE to run a faster reduced pass.
   */
 object BenchFixtures {
 
   val scale: Double = sys.env.getOrElse("REPRO_BENCH_SCALE", "1.0").toDouble
 
-  private val cache = scala.collection.mutable.Map[(String, Boolean), Bundle]()
-
-  def bundle(name: String, keyOnly: Boolean = true): Bundle = synchronized {
-    cache.getOrElseUpdate((name, keyOnly), {
-      Console.err.println(s"[bench] building bundle $name scale=$scale keyOnly=$keyOnly")
-      val t0 = System.nanoTime()
-      val b = Harness.bundle(SparkSpec.shared, name, scale, keyOnly = keyOnly)
-      Console.err.println(f"[bench] built $name in ${(System.nanoTime() - t0) / 1e9}%.1f s " +
-        s"(raw=${b.build.counts.rawFrames} key=${b.build.counts.keyFrames} " +
-        s"entries=${b.build.counts.entries})")
-      b
-    })
-  }
+  lazy val bundles: Bundles = new Bundles(SparkSpec.shared, scale)
 }

@@ -9,8 +9,7 @@ import repro.eval.tables.{TableFmt, TableI}
   */
 class TableIBench extends SparkSpec {
 
-  private lazy val res = TableI.run(spark, BenchFixtures.scale,
-    Some(BenchFixtures.bundle("bellevue")))
+  private lazy val res = TableI.run(BenchFixtures.bundles)
 
   test("Table I: publish the derived capability matrix") {
     TableFmt.publish("table1", TableI.render(res))

@@ -13,8 +13,7 @@ import repro.eval.tables.{TableFmt, TableIII}
   */
 class TableIIIBench extends SparkSpec {
 
-  private lazy val rows = TableIII.run(spark, BenchFixtures.scale,
-    TableIII.datasets.map(d => d -> BenchFixtures.bundle(d)).toMap)
+  private lazy val rows = TableIII.run(BenchFixtures.bundles)
 
   test("Table III: publish measured vs paper execution times") {
     TableFmt.publish("table3", TableIII.render(rows))

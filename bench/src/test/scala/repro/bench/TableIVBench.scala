@@ -10,13 +10,7 @@ import repro.eval.tables.{TableFmt, TableIV}
   */
 class TableIVBench extends SparkSpec {
 
-  private lazy val res = TableIV.run(spark, BenchFixtures.scale,
-    bundles = Map(
-      "cityscapes" -> BenchFixtures.bundle("cityscapes"),
-      "bellevue" -> BenchFixtures.bundle("bellevue")),
-    noKfBundles = Map(
-      "cityscapes" -> BenchFixtures.bundle("cityscapes", keyOnly = false),
-      "bellevue" -> BenchFixtures.bundle("bellevue", keyOnly = false)))
+  private lazy val res = TableIV.run(BenchFixtures.bundles)
 
   private def run(variant: String, q: String) =
     res.rows.find(r => r.variant == variant && r.queryId == q).get.run

@@ -11,8 +11,7 @@ import repro.eval.tables.{TableFmt, TableV}
   */
 class TableVBench extends SparkSpec {
 
-  private lazy val rows = TableV.run(spark, BenchFixtures.scale,
-    Some(BenchFixtures.bundle("cityscapes")))
+  private lazy val rows = TableV.run(BenchFixtures.bundles)
 
   private def run(v: String, q: String) =
     rows.find(r => r.variant == v && r.queryId == q).get.run

@@ -10,8 +10,7 @@ import repro.eval.tables.{TableFmt, TableVII}
   */
 class TableVIIBench extends SparkSpec {
 
-  private lazy val rows = TableVII.run(spark, BenchFixtures.scale,
-    Some(BenchFixtures.bundle("activitynet")))
+  private lazy val rows = TableVII.run(BenchFixtures.bundles)
 
   test("Table VII: publish ActivityNet-QA results") {
     TableFmt.publish("table7", TableVII.render(rows))

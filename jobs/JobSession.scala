@@ -2,12 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared session + argument handling for the spark-submit entrypoints.
-  *
-  * Every job accepts an optional scale factor argument (default 1.0 — the
-  * paper calibration; use e.g. 0.1 for a quick pass) and prints the
-  * rendered table, also writing it under results/.
-  */
+/** The Spark session of the spark-submit entrypoints. */
 object JobSession {
   def spark(name: String): SparkSession =
     SparkSession.builder
@@ -17,7 +12,4 @@ object JobSession {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  def scaleArg(args: Array[String]): Double =
-    args.headOption.map(_.toDouble).getOrElse(1.0)
 }

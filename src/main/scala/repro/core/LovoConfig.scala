@@ -41,6 +41,10 @@ final case class LovoConfig(
     // (paper §VII-A evaluates the top 10x-ground-truth retrieved objects)
     retrievalMultiplier: Int = 10,
     indexPartitions: Int = 16) {
+  require(pqSubspaces >= 1, s"pqSubspaces must be at least 1, got $pqSubspaces")
+  require(pqSubdim >= 1, s"pqSubdim must be at least 1, got $pqSubdim")
+  require(pqCentroids >= 1, s"pqCentroids must be at least 1, got $pqCentroids")
+  require(kmeansIters >= 1, s"kmeansIters must be at least 1, got $kmeansIters")
   require(pqSubspaces * pqSubdim == repro.encoder.SemanticSpace.Dp,
     s"PQ dims ${pqSubspaces}x$pqSubdim must equal D'=${repro.encoder.SemanticSpace.Dp}")
   require(rescoreFactor >= 1, "rescoreFactor must be at least 1")

@@ -4,20 +4,15 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.encoder.TextEncoder
 import repro.index.HnswIndex
-import repro.video.{DatasetConfig, Datasets}
+import repro.video.Datasets
 
 /** A dataset prepared for evaluation: generated video, built LOVO index,
   * per-query measured ground truth. HNSW is built lazily (only Table V
   * needs it) and its build distance-computations are recorded.
   */
-final class Bundle(
-    val spark: SparkSession,
-    val dataset: DatasetConfig,
-    val lcfg: LovoConfig,
-    val keyOnly: Boolean,
-    val build: LovoBuild) {
+final class Bundle(val build: LovoBuild) {
 
-  val queries: Seq[QuerySpec] = Workloads.forDataset(dataset.name)
+  val queries: Seq[QuerySpec] = Workloads.forDataset(build.dataset.name)
 
   /** Measured ground truth per query id (labelled on keyframes). */
   lazy val gt: Map[String, Seq[GtObject]] =
@@ -31,6 +26,28 @@ final class Bundle(
   lazy val hnsw: (HnswIndex, Long) = {
     val g = Lovo.buildHnsw(build)
     (g, g.distComps)
+  }
+}
+
+/** The bundles of one Spark session at one scale. Each `(dataset,
+  * keyOnly)` is built with [[Harness.bundle]] on first use, reported in one
+  * line on stderr, and shared by every later caller; nothing is released
+  * before the session ends.
+  */
+final class Bundles(spark: SparkSession, scale: Double) {
+
+  private val cache = scala.collection.mutable.Map[(String, Boolean), Bundle]()
+
+  def apply(dataset: String, keyOnly: Boolean = true): Bundle = synchronized {
+    cache.getOrElseUpdate((dataset, keyOnly), {
+      val t0 = System.nanoTime()
+      val b = Harness.bundle(spark, dataset, scale, keyOnly = keyOnly)
+      val c = b.build.counts
+      Console.err.println(f"[bundles] built $dataset scale=$scale keyOnly=$keyOnly " +
+        f"in ${(System.nanoTime() - t0) / 1e9}%.1f s " +
+        s"(raw=${c.rawFrames} key=${c.keyFrames} entries=${c.entries})")
+      b
+    })
   }
 }
 
@@ -59,8 +76,7 @@ object Harness {
              lcfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): Bundle = {
     val cfg = Datasets.byName(datasetName).scaled(scale)
     val specs = Workloads.plantSpecsFor(datasetName)
-    new Bundle(spark, cfg, lcfg, keyOnly,
-      Lovo.build(spark, cfg, specs, lcfg, keyOnly))
+    new Bundle(Lovo.build(spark, cfg, specs, lcfg, keyOnly))
   }
 
   /** Execute one query end to end and score it. */
@@ -68,10 +84,10 @@ object Harness {
               variant: AnnVariant = AnnVariant.IvfPq,
               useRerank: Boolean = true): LovoRun = {
     val spec = Workloads.byId(queryId)
-    require(spec.dataset == b.dataset.name,
-      s"query $queryId belongs to ${spec.dataset}, bundle is ${b.dataset.name}")
+    require(spec.dataset == b.build.dataset.name,
+      s"query $queryId belongs to ${spec.dataset}, bundle is ${b.build.dataset.name}")
     val parsed = TextEncoder.parse(spec.text)
-    val k = math.min(b.lcfg.retrievalMultiplier.toLong * spec.nPos, b.build.counts.entries)
+    val k = math.min(b.build.cfg.retrievalMultiplier.toLong * spec.nPos, b.build.counts.entries)
       .toInt.max(1)
 
     val hnswOpt = if (variant == AnnVariant.Hnsw) Some(b.hnsw._1) else None
@@ -82,10 +98,11 @@ object Harness {
       r.candidates.map(c => Detection(c.frameId, c.score, c.box)), gt)
 
     val c = b.build.counts
+    val lcfg = b.build.cfg
     val indexingSec = variant match {
       case AnnVariant.IvfPq =>
         CostModel.indexingIvfPq(c.entries, c.kmeansIters,
-          b.lcfg.pqSubspaces, b.lcfg.pqCentroids, b.lcfg.pqSubdim)
+          lcfg.pqSubspaces, lcfg.pqCentroids, lcfg.pqSubdim)
       case AnnVariant.Bf   => CostModel.indexingBf
       case AnnVariant.Hnsw => CostModel.indexingHnsw(b.hnsw._2)
     }
@@ -127,7 +144,7 @@ object Harness {
   def runBaselineText(b: Bundle, method: String, queryId: String,
                       text: String, gt: Seq[GtObject]): BaselineRun = {
     val parsed = TextEncoder.parse(text)
-    val k = math.max(1, b.lcfg.retrievalMultiplier * math.max(gt.size, 1))
+    val k = math.max(1, b.build.cfg.retrievalMultiplier * math.max(gt.size, 1))
     val frames = b.build.frames
     val c = b.build.counts
     import repro.baselines._
@@ -143,11 +160,11 @@ object Harness {
         (Zelda.search(frames, parsed, k),
           CostModel.zeldaProcessing(c.rawFrames), CostModel.zeldaSearch(c.keyFrames))
       case "UMT" =>
-        (Umt.search(frames, b.dataset, parsed, k),
+        (Umt.search(frames, b.build.dataset, parsed, k),
           CostModel.umtProcessing(c.rawFrames),
-          CostModel.umtSearch(Umt.windowCount(b.dataset)))
+          CostModel.umtSearch(Umt.windowCount(b.build.dataset)))
       case "VISA" =>
-        (Visa.search(frames, b.dataset, parsed, k),
+        (Visa.search(frames, b.build.dataset, parsed, k),
           CostModel.visaProcessing(c.rawFrames), CostModel.visaSearch(c.keyFrames))
       case "DINO" =>
         (Dino.search(frames, parsed, k),

@@ -1,7 +1,6 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
-import repro.eval.{Bundle, CostModel, Harness}
+import repro.eval.{Bundles, CostModel, Harness}
 
 /** Table I — capability comparison across method families, derived from
   * measured behaviour on Bellevue probes:
@@ -71,9 +70,8 @@ object TableI {
       avep: Map[(String, String), Double], // (family, complexity) -> AveP
       derived: Map[(String, String), String]) // (capability, family) -> class
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          bundle: Option[Bundle] = None): Result = {
-    val b = bundle.getOrElse(Harness.bundle(spark, "bellevue", scale))
+  def run(bundles: Bundles): Result = {
+    val b = bundles("bellevue")
     // The paper's Fig 2 probe set: an MSCOCO class, a novel-feature
     // description ("red car in road"), and the full relational sentence.
     val probes = Seq(

@@ -1,8 +1,7 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.AnnVariant
-import repro.eval.{Bundle, Harness}
+import repro.eval.{Bundles, Harness}
 
 /** Table III — execution time (s) of ZELDA, UMT, VISA, LOVO across the
   * four datasets, split into video processing / query search / total.
@@ -39,10 +38,9 @@ object TableIII {
   val datasets = Seq("cityscapes", "bellevue", "qvhighlights", "beach")
   val methods = Seq("ZELDA", "UMT", "VISA", "LOVO")
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          bundles: Map[String, Bundle] = Map.empty): Seq[Row] =
+  def run(bundles: Bundles): Seq[Row] =
     datasets.flatMap { ds =>
-      val b = bundles.getOrElse(ds, Harness.bundle(spark, ds, scale))
+      val b = bundles(ds)
       val queries = b.queries.map(_.id)
       // Baselines: modeled times are query-independent; probe with the
       // first query so the full retrieval path actually executes.

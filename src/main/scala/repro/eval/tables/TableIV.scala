@@ -1,8 +1,7 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.AnnVariant
-import repro.eval.{Bundle, Harness, LovoRun}
+import repro.eval.{Bundles, Harness, LovoRun}
 
 /** Table IV — ablation study on Cityscapes (Q1.1, Q1.2) and Bellevue
   * (Q2.1, Q2.2): query accuracy (AveP) and latency (s) for full LOVO,
@@ -37,30 +36,22 @@ object TableIV {
 
   final case class Result(rows: Seq[Row], storageKeyMb: Double, storageAllMb: Double)
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          bundles: Map[String, Bundle] = Map.empty,
-          noKfBundles: Map[String, Bundle] = Map.empty): Result = {
-    val byDs = Map(
-      "cityscapes" -> bundles.getOrElse("cityscapes", Harness.bundle(spark, "cityscapes", scale)),
-      "bellevue" -> bundles.getOrElse("bellevue", Harness.bundle(spark, "bellevue", scale)))
-    val byDsNoKf = Map(
-      "cityscapes" -> noKfBundles.getOrElse("cityscapes",
-        Harness.bundle(spark, "cityscapes", scale, keyOnly = false)),
-      "bellevue" -> noKfBundles.getOrElse("bellevue",
-        Harness.bundle(spark, "bellevue", scale, keyOnly = false)))
-
+  def run(bundles: Bundles): Result = {
+    val datasets = Seq("cityscapes", "bellevue")
     def ds(q: String) = if (q.startsWith("Q1")) "cityscapes" else "bellevue"
 
     val rows = queries.flatMap { q =>
+      val b = bundles(ds(q))
       Seq(
-        Row("LOVO", q, Harness.runLovo(byDs(ds(q)), q, AnnVariant.IvfPq, useRerank = true)),
-        Row("w/o Rerank", q, Harness.runLovo(byDs(ds(q)), q, AnnVariant.IvfPq, useRerank = false)),
-        Row("w/o ANNS", q, Harness.runLovo(byDs(ds(q)), q, AnnVariant.Bf, useRerank = true)),
-        Row("w/o Key frame", q, Harness.runLovo(byDsNoKf(ds(q)), q, AnnVariant.IvfPq, useRerank = true)))
+        Row("LOVO", q, Harness.runLovo(b, q, AnnVariant.IvfPq, useRerank = true)),
+        Row("w/o Rerank", q, Harness.runLovo(b, q, AnnVariant.IvfPq, useRerank = false)),
+        Row("w/o ANNS", q, Harness.runLovo(b, q, AnnVariant.Bf, useRerank = true)),
+        Row("w/o Key frame", q,
+          Harness.runLovo(bundles(ds(q), keyOnly = false), q, AnnVariant.IvfPq, useRerank = true)))
     }
-    val keyMb = byDs.values.map(_.build.counts.storageBytes).sum / 1e6
-    val allMb = byDsNoKf.values.map(_.build.counts.storageBytes).sum / 1e6
-    Result(rows, keyMb, allMb)
+    def storageMb(keyOnly: Boolean) =
+      datasets.map(bundles(_, keyOnly).build.counts.storageBytes).sum / 1e6
+    Result(rows, storageMb(keyOnly = true), storageMb(keyOnly = false))
   }
 
   def render(res: Result): String = {

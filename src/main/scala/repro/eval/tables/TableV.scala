@@ -1,8 +1,7 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.AnnVariant
-import repro.eval.{Bundle, Harness, LovoRun}
+import repro.eval.{Bundles, Harness, LovoRun}
 
 /** Table V — LOVO across ANN variants (BF, IVF-PQ, HNSW) on Cityscapes
   * Q1.1–Q1.4: AveP, search time (fast search + rerank) and total time
@@ -32,9 +31,8 @@ object TableV {
 
   final case class Row(variant: String, queryId: String, run: LovoRun)
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          bundle: Option[Bundle] = None): Seq[Row] = {
-    val b = bundle.getOrElse(Harness.bundle(spark, "cityscapes", scale))
+  def run(bundles: Bundles): Seq[Row] = {
+    val b = bundles("cityscapes")
     for (v <- variants; q <- queries)
       yield Row(AnnVariant.name(v), q, Harness.runLovo(b, q, v, useRerank = true))
   }

@@ -1,8 +1,7 @@
 package repro.eval.tables
 
-import org.apache.spark.sql.SparkSession
 import repro.core.AnnVariant
-import repro.eval.{Bundle, Harness, LovoRun}
+import repro.eval.{Bundles, Harness, LovoRun}
 
 /** Table VII — LOVO on the ActivityNet-QA extension workload (Table VI
   * queries EQ1–EQ4): AveP, search and total time.
@@ -20,9 +19,8 @@ object TableVII {
 
   final case class Row(queryId: String, run: LovoRun)
 
-  def run(spark: SparkSession, scale: Double = 1.0,
-          bundle: Option[Bundle] = None): Seq[Row] = {
-    val b = bundle.getOrElse(Harness.bundle(spark, "activitynet", scale))
+  def run(bundles: Bundles): Seq[Row] = {
+    val b = bundles("activitynet")
     queries.map(q => Row(q, Harness.runLovo(b, q, AnnVariant.IvfPq, useRerank = true)))
   }
 

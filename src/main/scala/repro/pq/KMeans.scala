@@ -42,6 +42,7 @@ object KMeans {
     */
   def trainProduct(vecs: RDD[Array[Float]], P: Int, m: Int, M: Int,
                    iters: Int = 8, seed: Long = 42L): Array[Array[Array[Float]]] = {
+    require(P >= 1 && m >= 1 && M >= 1, s"P, m and M must be at least 1, got P=$P m=$m M=$M")
     require(iters >= 1, "need at least one Lloyd iteration")
     val dim = P * m
     val data = vecs.collect()

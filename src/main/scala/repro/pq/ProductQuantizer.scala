@@ -18,6 +18,7 @@ final case class ProductQuantizer(
     M: Int,
     codebooks: Array[Array[Array[Float]]]) {
 
+  require(P >= 1 && m >= 1 && M >= 1, s"P, m and M must be at least 1, got P=$P m=$m M=$M")
   require(codebooks.length == P, s"expected $P codebooks, got ${codebooks.length}")
   require(codebooks.forall(_.length == M), s"every codebook must hold $M centroids")
   require(codebooks.forall(_.forall(_.length == m)), s"centroids must have dim $m")

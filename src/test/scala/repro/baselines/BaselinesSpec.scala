@@ -82,21 +82,21 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("UMT retrieves windows: detections cluster temporally") {
-    val dets = Umt.search(bell.build.frames, bell.dataset,
+    val dets = Umt.search(bell.build.frames, bell.build.dataset,
       TextEncoder.parse("A bus driving on the road."), 60)
     assert(dets.nonEmpty)
     assert(dets.map(_.frameId).distinct.size == dets.size)
-    assert(Umt.windowCount(bell.dataset) > 0)
+    assert(Umt.windowCount(bell.build.dataset) > 0)
   }
 
   test("VISA is accurate on daily-life scenes, degraded on traffic") {
     // qvhighlights-style accuracy proxy: wrong-object probability differs
     val text = "A bus driving on the road."
     val parsed = TextEncoder.parse(text)
-    val trafficDets = Visa.search(bell.build.frames, bell.dataset, parsed, 100)
+    val trafficDets = Visa.search(bell.build.frames, bell.build.dataset, parsed, 100)
     assert(trafficDets.nonEmpty)
     // structural check: traffic config uses high wrong-object rate
-    assert(bell.dataset.traffic)
+    assert(bell.build.dataset.traffic)
   }
 
   test("baselines are deterministic") {
@@ -105,8 +105,8 @@ class BaselinesSpec extends SparkSpec {
            Figo.search(bell.build.frames, parsed, 50))
     assert(Zelda.search(bell.build.frames, parsed, 50) ==
            Zelda.search(bell.build.frames, parsed, 50))
-    assert(Visa.search(bell.build.frames, bell.dataset, parsed, 50) ==
-           Visa.search(bell.build.frames, bell.dataset, parsed, 50))
+    assert(Visa.search(bell.build.frames, bell.build.dataset, parsed, 50) ==
+           Visa.search(bell.build.frames, bell.build.dataset, parsed, 50))
   }
 
   test("topKeyframeDetections reads keyframes only and ranks by score, then frame id") {

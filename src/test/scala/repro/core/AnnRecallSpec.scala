@@ -16,7 +16,7 @@ class AnnRecallSpec extends SparkSpec with PropertyChecks {
   /** Mean recall@k of IVF-PQ and of HNSW over `n` generated queries. */
   private def meanRecalls(n: Int): (Double, Double) = {
     val (ivf, hnsw) = (Array.newBuilder[Double], Array.newBuilder[Double])
-    forAllGen(Fixtures.keyPhraseQueries(b.dataset), n) { case (text, k) =>
+    forAllGen(Fixtures.keyPhraseQueries(b.build.dataset), n) { case (text, k) =>
       val parsed = TextEncoder.parse(text)
       def ids(v: AnnVariant) = {
         val g = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None

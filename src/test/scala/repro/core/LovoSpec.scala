@@ -16,8 +16,8 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("build counts are consistent") {
     val c = build.counts
-    assert(c.rawFrames == b.dataset.totalRawFrames)
-    assert(math.abs(c.keyFrames - c.rawFrames / b.dataset.keyPeriod) <= b.dataset.nVideos)
+    assert(c.rawFrames == b.build.dataset.totalRawFrames)
+    assert(math.abs(c.keyFrames - c.rawFrames / b.build.dataset.keyPeriod) <= b.build.dataset.nVideos)
     assert(c.entries == c.keyFrames * PatchGrid.K)
     assert(c.storageBytes == c.entries * repro.vit.VideoSummary.bytesPerEntry)
   }
@@ -211,7 +211,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     // score and takes frame and box from the store.
     val store = repro.index.MetadataStore.build(build.patches)
     try {
-      forAllGen(Fixtures.keyPhraseQueries(b.dataset), n = 8) { case (text, k) =>
+      forAllGen(Fixtures.keyPhraseQueries(b.build.dataset), n = 8) { case (text, k) =>
         for (v <- AnnVariant.all) {
           val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
           val label = s"${AnnVariant.name(v)} '$text' k=$k"
@@ -231,7 +231,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("Lovo.build runs 5 Spark jobs, none per Lloyd iteration, and rebuilds the same index") {
     val (again, work) = SparkWork.during(spark.sparkContext)(
-      Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
+      Lovo.build(spark, b.build.dataset, Workloads.plantSpecsFor(b.build.dataset.name), build.cfg))
     try {
       assert(again.counts == build.counts)
       def coords(x: LovoBuild) = x.index.pq.codebooks.flatten.flatten.toSeq
@@ -277,7 +277,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     // per-query scans coalesce to defaultParallelism.
     val sc = spark.sparkContext
     val (again, work) = SparkWork.during(sc)(
-      Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg))
+      Lovo.build(spark, b.build.dataset, Workloads.plantSpecsFor(b.build.dataset.name), build.cfg))
     try {
       assert(work.stages.nonEmpty && work.stages.forall(_.fullWidth), work.stages.mkString("\n"))
       for (cache <- Seq(again.frameBlocks, again.index.entries))
@@ -295,7 +295,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
   test("Lovo.build leaves exactly the frames and the posting blocks cached and loaded, no metadata store and no patches") {
     val sc = spark.sparkContext
     val before = CachedStorage.list(sc).map(_.id).toSet
-    val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
+    val again = Lovo.build(spark, b.build.dataset, Workloads.plantSpecsFor(b.build.dataset.name), build.cfg)
     try {
       val ids = Set(again.frameBlocks.id, again.index.entries.id)
       val added = CachedStorage.list(sc).filterNot(r => before(r.id))
@@ -328,7 +328,7 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("the cached posting blocks recompute from their own lineage, with the patch cache released") {
     val sc = spark.sparkContext
-    val again = Lovo.build(spark, b.dataset, Workloads.plantSpecsFor(b.dataset.name), build.cfg)
+    val again = Lovo.build(spark, b.build.dataset, Workloads.plantSpecsFor(b.build.dataset.name), build.cfg)
     val entries = again.index.entries
     try {
       assert(again.patches.storageLevel == StorageLevel.NONE)
@@ -405,6 +405,15 @@ class LovoSpec extends SparkSpec with PropertyChecks {
 
   test("LovoConfig validates PQ dimensions") {
     intercept[IllegalArgumentException] { LovoConfig(pqSubspaces = 3) }
+    for ((cfg, named) <- Seq(
+           (() => LovoConfig(pqCentroids = 0), "pqCentroids must be at least 1, got 0"),
+           (() => LovoConfig(pqSubspaces = -4, pqSubdim = -8), "pqSubspaces must be at least 1, got -4"),
+           (() => LovoConfig(pqSubdim = 0), "pqSubdim must be at least 1, got 0"),
+           (() => LovoConfig(pqSubspaces = 32, pqSubdim = 1, kmeansIters = 0),
+             "kmeansIters must be at least 1, got 0"))) {
+      val e = intercept[IllegalArgumentException] { cfg() }
+      assert(e.getMessage.contains(named), e.getMessage)
+    }
   }
 
   test("LovoConfig rejects a rescoreFactor below 1") {

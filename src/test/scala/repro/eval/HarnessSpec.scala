@@ -3,7 +3,7 @@ package repro.eval
 import repro.SparkSpec
 import repro.core.{AnnVariant, Lovo}
 import repro.encoder.TextEncoder
-import repro.testkit.Fixtures
+import repro.testkit.{Fixtures, SparkWork}
 
 class HarnessSpec extends SparkSpec {
 
@@ -24,7 +24,7 @@ class HarnessSpec extends SparkSpec {
     val r = Harness.runLovo(b, "Q1.1")
     assert(r.queryId == "Q1.1" && r.variant == AnnVariant.IvfPq && r.useRerank)
     assert(r.avep >= 0.0 && r.avep <= 1.0)
-    assert(r.k == b.lcfg.retrievalMultiplier * Workloads.byId("Q1.1").nPos)
+    assert(r.k == b.build.cfg.retrievalMultiplier * Workloads.byId("Q1.1").nPos)
     assert(r.gtCount == b.gt("Q1.1").size)
     assert(r.fastSec > 0 && r.rerankSec > 0)
     assert(r.processingSec > 0 && r.indexingSec > 0)
@@ -88,5 +88,17 @@ class HarnessSpec extends SparkSpec {
   test("ad-hoc ground truth for a probe query is measurable") {
     val gt = Harness.groundTruthFor(b, "car")
     assert(gt.nonEmpty, "cityscapes has background cars on keyframes")
+  }
+
+  test("Bundles builds each (dataset, keyOnly) once and then returns that bundle") {
+    val bundles = new Bundles(spark, 0.02)
+    val keyframes = bundles("cityscapes")
+    val (again, work) = SparkWork.during(spark.sparkContext)(bundles("cityscapes", keyOnly = true))
+    assert(again eq keyframes)
+    assert(work.jobs == 0)
+    val allFrames = bundles("cityscapes", keyOnly = false)
+    assert(!(allFrames eq keyframes))
+    assert(allFrames.build.counts.entries > keyframes.build.counts.entries)
+    assert(bundles("cityscapes", keyOnly = false) eq allFrames)
   }
 }

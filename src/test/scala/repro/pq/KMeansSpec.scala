@@ -1,6 +1,7 @@
 package repro.pq
 
 import repro.SparkSpec
+import repro.testkit.SparkWork
 import repro.util.{Rng, VecOps}
 
 class KMeansSpec extends SparkSpec {
@@ -100,5 +101,14 @@ class KMeansSpec extends SparkSpec {
   test("iters must be positive") {
     val rdd = spark.sparkContext.parallelize(blobs(10, 1, 2), 1)
     intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 2, iters = 0) }
+  }
+
+  test("an empty codebook (M = 0) is rejected before the collect, naming M") {
+    val rdd = spark.sparkContext.parallelize(blobs(10, 1, 2), 1)
+    val (e, work) = SparkWork.during(spark.sparkContext) {
+      intercept[IllegalArgumentException] { KMeans.trainProduct(rdd, 1, 2, 0, iters = 2) }
+    }
+    assert(e.getMessage.contains("M=0"), e.getMessage)
+    assert(work.jobs == 0)
   }
 }

@@ -28,6 +28,15 @@ class ProductQuantizerSpec extends SparkSpec {
     }
   }
 
+  test("constructor rejects a shape with a zero P, m or M, naming it") {
+    for ((p, sub, c) <- Seq((0, m, M), (P, 0, M), (P, m, 0))) {
+      val e = intercept[IllegalArgumentException] {
+        ProductQuantizer(p, sub, c, Array.fill(p, c, sub)(0f))
+      }
+      assert(e.getMessage.contains(s"P=$p m=$sub M=$c"), e.getMessage)
+    }
+  }
+
   test("the constructor rejects code spaces whose cell ids overflow a Long") {
     // 256^8 = 2^64: the all-255 code word would pack to -1.
     val e = intercept[IllegalArgumentException] {

@@ -35,8 +35,8 @@ class FrameBlockSpec extends SparkSpec {
 
   test("the build's frame blocks decode to the selected frames of one video, in the cache's partitions") {
     val b = Fixtures.cityscapes
-    assert(b.dataset.nVideos == 1)
-    assert(assertRoundTrip(b.build.frameBlocks, b.dataset) == 1)
+    assert(b.build.dataset.nVideos == 1)
+    assert(assertRoundTrip(b.build.frameBlocks, b.build.dataset) == 1)
   }
 
   test("frame blocks of fifteen videos decode to the selected frames, in several blocks") {
