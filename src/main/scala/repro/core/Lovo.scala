@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.storage.StorageLevel
 import repro.encoder.TextEncoder
 import repro.index._
 import repro.pq.ProductQuantizer
@@ -24,9 +23,14 @@ final case class BuildCounts(
   *
   * Two RDDs are cached and fully loaded: `frameBlocks`, the selected
   * frames packed one [[FrameBlock]] per non-empty partition, which the
-  * rerank reads, and `index.entries`, the posting blocks. `frames` is an
-  * uncached view of the frame blocks, decoded on every read, with their
-  * partitions and order. `patches` is not cached: the build releases its
+  * rerank reads, and `index.entries`, the posting blocks. Both are local
+  * checkpoints (`RDD.localCheckpoint`, `MEMORY_AND_DISK`): their lineage
+  * ends at the cache, so a query job plans one stage and never the build's
+  * shuffles, and a block lost from the cache (only `unpersist` loses one
+  * in a single JVM) is not recomputed: the next scan fails with Spark's
+  * `CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND`, and a fresh build is the recovery.
+  * `frames` is an uncached view of the frame blocks, decoded on every
+  * read, with their partitions and order. `patches` is not cached: the build releases its
   * cache once the index holds every patch, since no query reads it;
   * reading it recomputes the summary from the frame blocks. `meta` is not
   * cached either: it is the metadata rows read from the posting blocks
@@ -69,9 +73,11 @@ object Lovo {
   /** Offline phase: generate/ingest video, select keyframes and cache them
     * as frame blocks, summarize, train PQ codebooks, build the inverted
     * multi-index, whose posting blocks also hold the boxes. The collect of
-    * the raw and keyframe counts loads the frame blocks. Each vector is
-    * then cached once, in the index: the build releases the transient
-    * patch cache, which the index's cached blocks no longer need.
+    * the raw and keyframe counts loads the frame blocks, and with every
+    * block cached it truncates their lineage (a local checkpoint, so no
+    * extra job; the index does the same with its directory collect). Each
+    * vector is then cached once, in the index: the build releases the
+    * transient patch cache, which the index's cached blocks no longer need.
     *
     * @param keyOnly false reproduces the w/o-key-frame ablation (index
     *                every raw frame)
@@ -80,7 +86,7 @@ object Lovo {
             cfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): LovoBuild = {
     import spark.implicits._
     val frameBlocks = FrameBlock.blocks(Keyframes.select(SynthVideo.frames(spark, dataset, specs)))
-      .persist(StorageLevel.MEMORY_AND_DISK)
+      .localCheckpoint()
     val (rawFrames, keyFrames) =
       frameBlocks.map(b => (b.size.toLong, b.isKey.count(identity).toLong)).collect().unzip
     val frames = frameBlocks.flatMap(_.frames).toDS()

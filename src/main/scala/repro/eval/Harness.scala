@@ -73,10 +73,10 @@ object Harness {
 
   /** Prepare one dataset at a scale (1.0 = paper calibration). */
   def bundle(spark: SparkSession, datasetName: String, scale: Double = 1.0,
-             lcfg: LovoConfig = LovoConfig(), keyOnly: Boolean = true): Bundle = {
+             keyOnly: Boolean = true): Bundle = {
     val cfg = Datasets.byName(datasetName).scaled(scale)
     val specs = Workloads.plantSpecsFor(datasetName)
-    new Bundle(Lovo.build(spark, cfg, specs, lcfg, keyOnly))
+    new Bundle(Lovo.build(spark, cfg, specs, keyOnly = keyOnly))
   }
 
   /** Execute one query end to end and score it. */

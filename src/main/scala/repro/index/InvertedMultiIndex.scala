@@ -3,7 +3,6 @@ package repro.index
 import scala.reflect.ClassTag
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, functions => F}
-import org.apache.spark.storage.StorageLevel
 import repro.pq.ProductQuantizer
 import repro.util.ScanJob
 import repro.vit.PatchRec
@@ -44,14 +43,18 @@ final case class PostingBlock(
   * non-empty partition of the cell-id hash partitioning: the distributed
   * analogue of per-cell posting lists, each partition's lists packed cell
   * by cell into primitive arrays. The cache holds the blocks as objects,
-  * so a scan ([[scan]]) reads their arrays in place. Spark's cache manager
-  * re-plans Dataset caches, never an RDD, so releasing a cache the build
-  * read (the patches) changes no block; a lost block is recomputed from
-  * the build's lineage. A driver-side cell directory (cell id -> posting
-  * count) lets the query planner pick candidate cells without touching the
-  * data. Every posting of a cell shares the cell's ADC score, so the planner
-  * scores cells, not postings, and a query then reads only the postings it
-  * rescores (a merge walk of each block's sorted cell ids).
+  * so a scan ([[scan]]) reads their arrays in place. The RDD is a local
+  * checkpoint: once loaded, its lineage ends at the cache, so a scan job
+  * is one stage and Spark never re-plans the build's exchange. Spark's
+  * cache manager re-plans Dataset caches, never an RDD, so releasing a
+  * cache the build read (the patches) changes no block. A lost block is
+  * not recomputed: a scan after `entries.unpersist` fails with Spark's
+  * `CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND`, and the recovery is a fresh build.
+  * A driver-side cell directory (cell id -> posting count) lets the query
+  * planner pick candidate cells without touching the data. Every posting
+  * of a cell shares the cell's ADC score, so the planner scores cells, not
+  * postings, and a query then reads only the postings it rescores (a merge
+  * walk of each block's sorted cell ids).
   */
 final case class InvertedMultiIndex(
     entries: RDD[PostingBlock],
@@ -75,9 +78,10 @@ final case class InvertedMultiIndex(
   lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
 
   /** Runs `f` on every cached posting block and collects what it returns,
-    * in block order: one narrow Spark job of at most `defaultParallelism`
-    * tasks ([[ScanJob.collect]], which calls `SparkContext.runJob` directly
-    * to skip the closure cleaning `map(f).collect()` repeats per call).
+    * in no guaranteed block order: one narrow Spark job of at most
+    * `defaultParallelism` tasks ([[ScanJob.collect]], which calls
+    * `SparkContext.runJob` directly to skip the closure cleaning
+    * `map(f).collect()` repeats per call).
     * Each task ships `f`, so `f` must capture query-sized values only,
     * never the index and its directory.
     */
@@ -94,9 +98,10 @@ object InvertedMultiIndex {
 
   /** Index-build batch job: encode every patch embedding, hash-partition
     * the postings by cell (the one shuffle), sort each partition by (cell,
-    * patch id) and pack it into a [[PostingBlock]], cached at the level
-    * `Dataset.cache` uses. The cell directory comes from the blocks in one
-    * narrow collect, which loads the cache.
+    * patch id) and pack it into a [[PostingBlock]], locally checkpointed
+    * at the level `Dataset.cache` uses (`MEMORY_AND_DISK`). The cell
+    * directory comes from the blocks in one narrow collect, which loads
+    * every block and so truncates the lineage without another job.
     */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
             nPartitions: Int = 16): InvertedMultiIndex = {
@@ -109,7 +114,7 @@ object InvertedMultiIndex {
       .sortWithinPartitions("cellId", "patchId")
       .as[Posting]
       .mapPartitions(rows => if (rows.hasNext) Iterator(pack(rows.toArray, pq.dim)) else Iterator.empty)
-      .rdd.persist(StorageLevel.MEMORY_AND_DISK)
+      .rdd.localCheckpoint()
     val directory = entries.map(b => (b.cells, b.start)).collect().iterator.flatMap { case (cells, start) =>
       cells.indices.iterator.map(c => cells(c) -> (start(c + 1) - start(c)).toLong)
     }.toMap

@@ -14,9 +14,15 @@ import org.apache.spark.rdd.RDD
 private[repro] object ScanJob {
 
   /** Runs `f` over each partition of `rdd` coalesced to `defaultParallelism`
-    * and returns what it emits, partition by partition in partition order:
-    * one narrow Spark job of at most `defaultParallelism` tasks (coalescing
-    * never adds partitions), each task reading its parent partitions once.
+    * and returns what it emits: one narrow Spark job of at most
+    * `defaultParallelism` tasks (coalescing never adds partitions), each
+    * task reading its parent partitions once. The output comes partition by
+    * partition: in partition order over an uncached RDD, in no guaranteed
+    * order over a cached one, whose partitions the coalesce may group by
+    * their cached location. The job is one stage when `rdd`'s lineage holds
+    * no shuffle (a local checkpoint's ends at its cache); otherwise it also
+    * lists, and skips, the shuffle's map stages, which the scheduler
+    * rebuilds on every call.
     *
     * It calls `SparkContext.runJob` with a `(TaskContext, Iterator)`
     * function directly. `RDD.map(f).collect()` would also clean Spark's

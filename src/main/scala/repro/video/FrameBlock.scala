@@ -79,12 +79,13 @@ object FrameBlock {
     frames.rdd.mapPartitions(fs =>
       if (fs.hasNext) Iterator(pack(fs.toArray.sortBy(_.frameId))) else Iterator.empty)
 
-  /** Runs `f` on every block and collects what it returns, in block
-    * order: one narrow Spark job of at most `defaultParallelism` tasks
-    * ([[ScanJob.collect]], which calls `SparkContext.runJob` directly to
-    * skip the closure cleaning `map(f).collect()` repeats per call). A
-    * one-video dataset has one block, so one of those tasks does all the
-    * work. Each task ships `f`, so `f` must capture query-sized values only.
+  /** Runs `f` on every block and collects what it returns: one narrow
+    * Spark job of at most `defaultParallelism` tasks ([[ScanJob.collect]],
+    * which calls `SparkContext.runJob` directly to skip the closure
+    * cleaning `map(f).collect()` repeats per call), in no guaranteed
+    * order over cached blocks. A one-video dataset has one block, so one of
+    * those tasks does all the work. Each task ships `f`, so `f` must capture
+    * query-sized values only.
     */
   def scan[U: ClassTag](blocks: RDD[FrameBlock])(f: FrameBlock => U): Array[U] =
     ScanJob.collect(blocks)(_.map(f))

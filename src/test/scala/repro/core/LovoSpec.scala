@@ -129,14 +129,16 @@ class LovoSpec extends SparkSpec with PropertyChecks {
   private lazy val frameBlocks = build.frameBlocks.count()
 
   /** Exactly `indexScans + rerankScans` narrow jobs, one task per core,
-    * and no SQL execution. Each is a plain RDD job that reads every block
-    * of its cache once (a recomputed block would read none): the index
-    * scans, which run first, read every posting block, and the rerank
-    * every frame block.
+    * and no SQL execution. Each is a plain RDD job of one stage (both
+    * caches are local checkpoints, so no job lists the build's shuffle
+    * stages) that reads every block of its cache once (a recomputed block
+    * would read none): the index scans, which run first, read every
+    * posting block, and the rerank every frame block.
     */
   private def assertNarrow(work: SparkWork, indexScans: Int, rerankScans: Int = 0, label: String = ""): Unit = {
     val clue = s"$label $work"
     assert(work.jobs == indexScans + rerankScans, clue)
+    assert(work.stagesPerJob.forall(_ == 1), clue)
     assert(work.shuffleStages == 0, clue)
     assert(work.tasksPerJob.forall(_ <= spark.sparkContext.defaultParallelism), clue)
     assert(work.sqlExecutions == 0, clue)
@@ -313,45 +315,61 @@ class LovoSpec extends SparkSpec with PropertyChecks {
       val hnsw = if (v == AnnVariant.Hnsw) Some(b.hnsw._1) else None
       (Lovo.fastSearch(build, parsed, k = 40, v, hnsw), Lovo.query(build, parsed, k = 40, v, hnsw = hnsw))
     }
+    def rows() = PostingRows.flatten(build.index).collect()
+      .map(r => (r.patchId, r.frameId, r.box, r.codes.toSeq, r.cellId, r.emb.toSeq)).sortBy(_._1).toSeq
     // Both stores are RDDs, which Spark never re-plans: they stay listed
     // under their ids, every partition loaded.
     val ids = Seq(build.frameBlocks.id, build.index.entries.id)
     // The build as it stood before its last step, with the patch cache loaded.
     build.patches.cache().count()
-    val before = answers()
+    val (rowsBefore, before) = (rows(), answers())
     build.patches.unpersist(blocking = true)
+    assert(rows() == rowsBefore)
     assert(answers() == before)
     val cached = CachedStorage.list(spark.sparkContext).filter(r => ids.contains(r.id))
     assert(cached.size == ids.size && cached.forall(_.loaded), cached.toString)
     assert(build.patches.storageLevel == StorageLevel.NONE)
   }
 
-  test("the cached posting blocks recompute from their own lineage, with the patch cache released") {
+  test("the posting blocks are a local checkpoint: a lost block fails the next scan by name, and a fresh build answers the same") {
     val sc = spark.sparkContext
-    val again = Lovo.build(spark, b.build.dataset, Workloads.plantSpecsFor(b.build.dataset.name), build.cfg)
+    val specs = Workloads.plantSpecsFor(b.build.dataset.name)
+    val again = Lovo.build(spark, b.build.dataset, specs, build.cfg)
     val entries = again.index.entries
-    try {
-      assert(again.patches.storageLevel == StorageLevel.NONE)
-      val queries = Seq("Q1.1", "Q1.2").map(id => TextEncoder.parse(Workloads.byId(id).text))
-      def answers() = {
-        val g = Lovo.buildHnsw(again)
-        for (parsed <- queries; v <- AnnVariant.all) yield {
-          val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
-          (Lovo.fastSearch(again, parsed, k = 40, v, hnsw), Lovo.query(again, parsed, k = 40, v, hnsw = hnsw))
-        }
+    val queries = Seq("Q1.1", "Q1.2").map(id => TextEncoder.parse(Workloads.byId(id).text))
+    def answers(x: LovoBuild) = {
+      val g = Lovo.buildHnsw(x)
+      for (parsed <- queries; v <- AnnVariant.all) yield {
+        val hnsw = if (v == AnnVariant.Hnsw) Some(g) else None
+        (Lovo.fastSearch(x, parsed, k = 40, v, hnsw), Lovo.query(x, parsed, k = 40, v, hnsw = hnsw))
       }
-      def rows() = PostingRows.flatten(again.index).collect()
-        .map(r => (r.patchId, r.frameId, r.box, r.codes.toSeq, r.cellId, r.emb.toSeq)).sortBy(_._1).toSeq
-      val (rowsBefore, answersBefore) = (rows(), answers())
+    }
+    def rows(x: LovoBuild) = PostingRows.flatten(x.index).collect()
+      .map(r => (r.patchId, r.frameId, r.box, r.codes.toSeq, r.cellId, r.emb.toSeq)).sortBy(_._1).toSeq
+    try {
+      val (rowsBefore, answersBefore) = (rows(again), answers(again))
+
+      // A lost block is not recomputed from the build's lineage: every
+      // reader of the posting blocks fails, naming the checkpoint block.
       entries.unpersist(blocking = true)
       assert(!CachedStorage.list(sc).exists(_.id == entries.id), "the blocks are evicted")
-      entries.persist(StorageLevel.MEMORY_AND_DISK)
-      val directory = entries.flatMap(blk => blk.cells.indices.map(c =>
-        blk.cells(c) -> (blk.start(c + 1) - blk.start(c)).toLong)).collect().toMap
-      assert(directory == again.index.cellDirectory)
-      assert(rows() == rowsBefore)
-      assert(answers() == answersBefore)
-      assert(CachedStorage.list(sc).exists(r => r.id == entries.id && r.loaded))
+      val parsed = queries.head
+      for ((label, read) <- Seq[(String, () => Any)](
+             "IVF-PQ fastSearch" -> (() => Lovo.fastSearch(again, parsed, k = 40)),
+             "BF fastSearch" -> (() => Lovo.fastSearch(again, parsed, k = 40, AnnVariant.Bf)),
+             "buildHnsw" -> (() => Lovo.buildHnsw(again)))) {
+        val e = intercept[org.apache.spark.SparkException](read())
+        assert(e.getMessage.contains("CHECKPOINT_RDD_BLOCK_ID_NOT_FOUND") &&
+          e.getMessage.contains(s"rdd_${entries.id}_"), s"$label: ${e.getMessage}")
+      }
+
+      // The recovery is a fresh build: the same rows and the same answers.
+      val fresh = Lovo.build(spark, b.build.dataset, specs, build.cfg)
+      try {
+        assert(fresh.index.cellDirectory == again.index.cellDirectory)
+        assert(rows(fresh) == rowsBefore)
+        assert(answers(fresh) == answersBefore)
+      } finally { fresh.frameBlocks.unpersist(blocking = true); fresh.index.entries.unpersist(blocking = true) }
     } finally { again.frameBlocks.unpersist(blocking = true); entries.unpersist(blocking = true) }
   }
 

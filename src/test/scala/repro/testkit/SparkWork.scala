@@ -9,6 +9,10 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 /** The Spark work one call launched.
   *
   * @param tasksPerJob    tasks run by each job, in job-start order
+  * @param stagesPerJob   stages each job lists at its start, in job-start
+  *                       order: skipped stages count, so a job over a cache
+  *                       whose lineage holds a shuffle lists the shuffle's
+  *                       map stage too, although it does not run it
   * @param inputRecordsPerJob input records of each job, in job-start order:
   *                       for a job over a cached RDD, the cached blocks it
   *                       read from the cache (a recomputed block adds none)
@@ -23,8 +27,8 @@ import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
   * @param sqlExecutions  SQL executions started
   * @param stages         the shape of each submitted stage, in submission order
   */
-final case class SparkWork(tasksPerJob: Seq[Int], inputRecordsPerJob: Seq[Long],
-                           resultBytesPerJob: Seq[Long],
+final case class SparkWork(tasksPerJob: Seq[Int], stagesPerJob: Seq[Int],
+                           inputRecordsPerJob: Seq[Long], resultBytesPerJob: Seq[Long],
                            outsideSqlPerJob: Seq[Boolean], shuffleStages: Int,
                            shuffleMapStages: Int, sqlExecutions: Int,
                            stages: Seq[StageShape]) {
@@ -44,9 +48,10 @@ final case class StageShape(tasks: Int, rddPartitions: Map[Int, Int]) {
 
 object SparkWork {
 
-  /** Runs `body` and counts the jobs, tasks, input records, result bytes,
-    * shuffle stages and SQL executions it launched. Counts every job of the context meanwhile,
-    * so the caller must be the only one running Spark work.
+  /** Runs `body` and counts the jobs, tasks, stages per job, input records,
+    * result bytes, shuffle stages and SQL executions it launched. Counts
+    * every job of the context meanwhile, so the caller must be the only one
+    * running Spark work.
     */
   def during[T](sc: SparkContext)(body: => T): (T, SparkWork) = {
     TestInternals.drainListenerBus(sc) // earlier work's late events must not be counted
@@ -62,6 +67,7 @@ object SparkWork {
   private final class Counter extends SparkListener {
     private val jobOfStage = mutable.Map[Int, Int]()
     private val tasks = mutable.LinkedHashMap[Int, Int]()
+    private val jobStages = mutable.Map[Int, Int]()
     private val records = mutable.Map[Int, Long]()
     private val resultBytes = mutable.Map[Int, Long]()
     private val shuffling = mutable.Set[Int]()
@@ -72,6 +78,7 @@ object SparkWork {
 
     override def onJobStart(e: SparkListenerJobStart): Unit = synchronized {
       tasks(e.jobId) = 0
+      jobStages(e.jobId) = e.stageInfos.size
       records(e.jobId) = 0L
       resultBytes(e.jobId) = 0L
       e.stageIds.foreach(jobOfStage(_) = e.jobId)
@@ -107,7 +114,7 @@ object SparkWork {
 
     def work: SparkWork = synchronized {
       val jobs = tasks.keys.toSeq
-      SparkWork(jobs.map(tasks), jobs.map(records), jobs.map(resultBytes),
+      SparkWork(jobs.map(tasks), jobs.map(jobStages), jobs.map(records), jobs.map(resultBytes),
         jobs.map(j => !executionOfJob(j).exists(executions)),
         shuffling.size, mapStages.size, executions.size, stages.toSeq)
     }

@@ -1,5 +1,6 @@
 package repro.util
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
@@ -57,5 +58,33 @@ class ScanJobSpec extends SparkSpec {
       assert(work.inputRecordsPerJob == Seq(nBlocks.toLong), work.toString)
       assert(work.tasksPerJob == Seq(math.min(nBlocks, dp)), work.toString)
     } finally blocks.unpersist(blocking = true)
+  }
+
+  test("over a cache behind a shuffle, a local checkpoint makes collect one stage") {
+    // One block per partition behind a shuffle, as the posting blocks sit
+    // behind the index's exchange. Persisted, the scan also lists the
+    // shuffle's map stage (skipped); locally checkpointed, the lineage ends
+    // at the cache.
+    val nBlocks = 3 * dp + 1
+    def blocks(): RDD[Array[Int]] = sc.parallelize(0 until 16 * nBlocks, 4).map(i => (i % nBlocks, i))
+      .partitionBy(new HashPartitioner(nBlocks)).mapPartitions(it => Iterator(it.map(_._2).toArray.sorted))
+    val expected = (0 until nBlocks).map(b => (b until 16 * nBlocks by nBlocks).sum)
+    def scan(cache: RDD[Array[Int]], label: String, stages: Int): Seq[Int] = {
+      cache.count() // loads the cache
+      val (sums, work) = SparkWork.during(sc)(ScanJob.collect(cache)(_.map(_.sum)))
+      val clue = s"$label $work"
+      assert(work.stagesPerJob == Seq(stages), clue)
+      assert(work.shuffleStages == 0, clue)
+      assert(work.inputRecordsPerJob == Seq(nBlocks.toLong), clue)
+      assert(work.tasksPerJob == Seq(math.min(nBlocks, dp)), clue)
+      sums.toSeq
+    }
+    val persisted = blocks().persist(StorageLevel.MEMORY_AND_DISK)
+    val checkpointed = blocks().localCheckpoint()
+    try {
+      // the coalesce may group cached partitions by location: no fixed order
+      assert(scan(persisted, "persisted", 2).sorted == expected)
+      assert(scan(checkpointed, "locally checkpointed", 1).sorted == expected)
+    } finally { persisted.unpersist(blocking = true); checkpointed.unpersist(blocking = true) }
   }
 }
