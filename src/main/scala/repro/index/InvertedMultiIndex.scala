@@ -54,7 +54,9 @@ final case class PostingBlock(
   * planner pick candidate cells without touching the data. Every posting
   * of a cell shares the cell's ADC score, so the planner scores cells, not
   * postings, and a query then reads only the postings it rescores (a merge
-  * walk of each block's sorted cell ids).
+  * walk of each block's sorted cell ids). The planner reads the directory
+  * as three flat primitive columns built once per index ([[cellIds]],
+  * [[cellCounts]], [[cellCodes]]), never the map.
   */
 final case class InvertedMultiIndex(
     entries: RDD[PostingBlock],
@@ -65,17 +67,23 @@ final case class InvertedMultiIndex(
   def nCells: Int = cellDirectory.size
 
   /** The directory's cell ids in ascending order. Together with
-    * [[cellCounts]] and [[cellCodes]] this is the directory as primitive
-    * arrays, built once per index, so ranking the cells of a query walks
-    * arrays instead of the map.
+    * [[cellCounts]] and [[cellCodes]] this is the directory as flat
+    * primitive columns, built once per index, so ranking the cells of a
+    * query walks arrays instead of the map.
     */
   lazy val cellIds: Array[Long] = cellDirectory.keys.toArray.sorted
 
   /** `cellCounts(i)` is the posting count of cell `cellIds(i)`. */
   lazy val cellCounts: Array[Long] = cellIds.map(cellDirectory)
 
-  /** `cellCodes(i)` holds the decoded PQ codes of cell `cellIds(i)`. */
-  lazy val cellCodes: Array[Array[Int]] = cellIds.map(pq.decodeCell)
+  /** The decoded PQ codes of every directory cell in one flat column:
+    * `cellCodes(i * P + p)` is the code of cell `cellIds(i)` in subspace p.
+    */
+  lazy val cellCodes: Array[Int] = {
+    val out = new Array[Int](cellIds.length * pq.P)
+    for (i <- cellIds.indices) System.arraycopy(pq.decodeCell(cellIds(i)), 0, out, i * pq.P, pq.P)
+    out
+  }
 
   /** Runs `f` on every cached posting block and collects what it returns,
     * in no guaranteed block order: one narrow Spark job of at most

@@ -220,24 +220,87 @@ class AnnSearchSpec extends SparkSpec with PropertyChecks {
       val weights = Array.tabulate(n)(i => 1L + Rng.int(seed, 5000L + i, 4))
       (scores, ids, weights)
     }
-    def oracle(order: Array[Int], weight: Int => Long, cover: Long): Set[Int] = {
+    def oracle(order: Array[Int], weight: Array[Long], cover: Long): Set[Int] = {
       var covered = 0L
       order.takeWhile { j => val take = covered < cover; covered += weight(j); take }.toSet
     }
     forAllGen(cases, n = 200) { case (scores, ids, weights) =>
       // All positions, and a subset of them in reverse order.
       for (among <- Seq(scores.indices.toArray, scores.indices.reverse.filter(_ % 2 == 0).toArray);
-           weight <- Seq[Int => Long](weights(_), _ => 1L)) {
+           weight <- Seq(weights, Array.fill(scores.length)(1L))) {
         val order = AnnSearch.bestFirst(scores, ids).filter(among.contains)
-        val sum = order.map(weight).sum
-        val prefixSum = order.take(order.length / 2).map(weight).sum
+        val sum = order.map(weight(_)).sum
+        val prefixSum = order.take(order.length / 2).map(weight(_)).sum
         for (cover <- Seq(0L, 1L, sum / 3, prefixSum, sum, sum + 7)) {
           val pos = among.clone()
-          val n = AnnSearch.bestCover(scores, ids, pos, weight, cover)
+          val keys = pos.map(i => AnnSearch.descKey(scores(i)))
+          val n = AnnSearch.bestCover(keys, pos, pos.length, ids, weight, cover)
           assert(pos.sorted.toSeq == among.sorted.toSeq, "pos must stay a permutation")
+          assert(pos.indices.forall(i => keys(i) == AnnSearch.descKey(scores(pos(i)))),
+            "keys must move with their positions")
           assert(pos.take(n).toSet == oracle(order, weight, cover),
             s"n=${scores.length} among=${among.length} cover=$cover of $sum")
         }
+      }
+    }
+  }
+
+  test("descKey orders as -score under java.lang.Double.compare, -0.0, infinities and NaN included") {
+    val special = Seq(0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-300, -1e300, Double.MinPositiveValue,
+      -Double.MinPositiveValue, Double.MaxValue, -Double.MaxValue, Double.PositiveInfinity,
+      Double.NegativeInfinity, Double.NaN)
+    // Arbitrary bit patterns: every sign and exponent, NaNs of other payloads.
+    val any = (0L until 300L).map(i => java.lang.Double.longBitsToDouble(Rng.mix(17L, i)))
+    val all = special ++ any
+    for (a <- all; b <- all)
+      assert(java.lang.Long.compare(AnnSearch.descKey(a), AnnSearch.descKey(b)).sign ==
+        java.lang.Double.compare(-a, -b).sign, s"$a vs $b")
+  }
+
+  test("plan picks the cells a boxed (-score, cell id) sort picks: selected, covered, rescore cells and limits") {
+    // A random directory over P subspaces of M centroids; its LUT holds a
+    // few levels exact in binary (so distinct cells tie bit for bit),
+    // -0.0 among them, or only zeros, as for the zero query of an empty
+    // parse. Scores are summed by ProductQuantizer.adcScore.
+    val cases = for {
+      p <- Gen.choose(1, 4)
+      m <- Gen.choose(1, 5)
+      levels <- Gen.oneOf(0, 1, 2, 3)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (p, m, levels, seed)
+    forAllGen(cases, n = 150) { case (p, m, levels, seed) =>
+      val pq = ProductQuantizer(p, 1, m, Array.fill(p, m, 1)(0f))
+      val space = BigInt(m).pow(p).toLong
+      val ids = (0L until space).sortBy(Rng.mix(seed, _)).take(Rng.int(seed, 1L, space.toInt + 1)).sorted.toArray
+      val counts = ids.indices.map(i => 1L + Rng.int(seed, 100L + i, 4)).toArray
+      val codes = ids.flatMap(pq.decodeCell)
+      val lut = Array.tabulate(p * m) { j =>
+        val v = if (levels == 0) 0.0 else (Rng.int(seed, 5000L + j, levels) - 1) * 0.5
+        if (v == 0.0 && j % 2 == 0) -0.0 else v
+      }
+      val table = lut.grouped(m).toArray
+      val ordered = ids.indices.map(i => (ids(i), counts(i), pq.adcScore(table, pq.decodeCell(ids(i)))))
+        .sortBy { case (cell, _, s) => (-s, cell) }
+      val total = counts.sum
+      val prefixWeight = ordered.take(ordered.length / 2).map(_._2).sum
+      for (minCover <- Seq(0L, 1L, prefixWeight, total, total + 7);
+           minDepth <- Seq(0L, 1L, prefixWeight / 4 + 1, total, total + 3)) {
+        var covered = 0L
+        val selected = ordered.takeWhile { case (_, n, _) => val take = covered < minCover; if (take) covered += n; take }
+        val depth = math.max(minDepth, covered / 4)
+        var sum = 0L
+        val prefix = selected.takeWhile { case (_, n, _) => val take = sum < depth; if (take) sum += n; take }
+        val limits = prefix.map(_._2).toArray
+        if (prefix.nonEmpty) limits(limits.length - 1) = math.min(limits.last, depth - (sum - limits.last))
+        val want = prefix.indices.map(i => (prefix(i)._1, limits(i).toInt)).sortBy(_._1)
+
+        val got = AnnSearch.plan(ids, counts, codes, p, lut, minCover, minDepth)
+        val label = s"P=$p M=$m levels=$levels cells=${ids.length} minCover=$minCover minDepth=$minDepth"
+        assert(got.selected == selected.length, label)
+        assert(got.covered == covered, label)
+        assert(got.cells.toSeq == want.map(_._1), label)
+        assert(got.limits.toSeq == want.map(_._2), label)
+        assert(got.rescored == math.min(depth, covered), label)
       }
     }
   }

@@ -25,6 +25,22 @@ class InvertedMultiIndexSpec extends SparkSpec {
     assert(index.nCells >= 1)
   }
 
+  /** The flat code column holds every directory cell's decoded codes, in
+    * directory order.
+    */
+  private def assertCodeColumn(idx: InvertedMultiIndex): Unit = {
+    val P = idx.pq.P
+    assert(idx.cellIds.toSeq == idx.cellDirectory.keys.toSeq.sorted)
+    assert(idx.cellCodes.length == idx.nCells * P)
+    for (i <- idx.cellIds.indices)
+      assert(idx.cellCodes.slice(i * P, (i + 1) * P).toSeq == idx.pq.decodeCell(idx.cellIds(i)).toSeq,
+        s"cell ${idx.cellIds(i)}")
+  }
+
+  test("the directory's flat code column holds each cell's decoded codes") {
+    assertCodeColumn(index)
+  }
+
   test("entries' codes match pq.encode of their embedding") {
     // A posting's codes are its cell's code word.
     val d = pq.dim
@@ -144,6 +160,7 @@ class InvertedMultiIndexSpec extends SparkSpec {
     assert(big.total == index.total)
     assert(big.cellIds.exists(cell => wide.decodeCell(cell).exists(_ >= 256)),
       "some posting's code word uses a centroid past 255")
+    assertCodeColumn(big)
     // 20 * k >= total, so every scanned posting is rescored exactly.
     assert(20L * 25 >= big.total)
     for (c <- 0 until 6; k <- Seq(25, 60)) {
