@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.encoder.TextEncoder
 import repro.index._
-import repro.pq.ProductQuantizer
+import repro.pq.{KMeans, ProductQuantizer}
 import repro.rerank.{CrossModalRerank, RerankResult}
 import repro.video.{DatasetConfig, FrameBlock, FrameRec, Keyframes, PlantSpec, SynthVideo}
 import repro.vit.{PatchRec, VideoSummary}
@@ -92,18 +92,17 @@ object Lovo {
     val frames = frameBlocks.flatMap(_.frames).toDS()
     val patches = VideoSummary.summarize(frames, cfg.summary, keyOnly).cache()
     val pq = ProductQuantizer.train(
-      patches.map(_.emb).rdd, cfg.pqSubspaces, cfg.pqSubdim, cfg.pqCentroids,
-      cfg.kmeansIters)
-    val index = InvertedMultiIndex.build(patches, pq, cfg.indexPartitions)
+      patches.map(_.emb).rdd, cfg.pqSubspaces, cfg.pqSubdim, cfg.pqCentroids)
+    val index = InvertedMultiIndex.build(patches, pq)
     patches.unpersist(blocking = true)
     LovoBuild(cfg, dataset, frames, patches, index, MetadataStore.fromIndex(index),
-      BuildCounts(rawFrames.sum, keyFrames.sum, index.total, cfg.kmeansIters,
+      BuildCounts(rawFrames.sum, keyFrames.sum, index.total, KMeans.Iters,
         index.total * VideoSummary.bytesPerEntry), frameBlocks)
   }
 
   /** Build the HNSW variant's graph over the same stored vectors. */
   def buildHnsw(b: LovoBuild): HnswIndex =
-    Hnsw.build(b.index, b.cfg.hnswM, b.cfg.hnswEfConstruction)
+    Hnsw.build(b.index)
 
   /** Stage 1 — top-k fast search (Algorithm 2 lines 1–2): encode the key
     * phrases to a single query vector and search the chosen index variant.
@@ -117,12 +116,12 @@ object Lovo {
     val q = TextEncoder.fastEmbedding(parsed)
     variant match {
       case AnnVariant.IvfPq =>
-        AnnSearch.search(b.index, q, k, b.cfg.topA, b.cfg.rescoreFactor, b.cfg.scanFraction)
+        AnnSearch.search(b.index, q, k)
       case AnnVariant.Bf =>
         BruteForce.search(b.index, q, k)
       case AnnVariant.Hnsw =>
         require(hnsw.isDefined, "HNSW variant requires a prebuilt graph")
-        Hnsw.search(hnsw.get, q, k, math.max(b.cfg.hnswEfSearch, k))
+        Hnsw.search(hnsw.get, q, k)
     }
   }
 

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.index.{AnnSearch, Hnsw, InvertedMultiIndex}
+import repro.pq.KMeans
 import repro.rerank.RerankParams
 import repro.vit.SummaryParams
 
@@ -18,34 +20,23 @@ object AnnVariant {
   }
 }
 
-/** All tunables of the LOVO pipeline (DESIGN.md §6). */
-final case class LovoConfig(
-    // product quantization / inverted multi-index
-    pqSubspaces: Int = 4,
-    pqSubdim: Int = 8,
-    pqCentroids: Int = 32,
-    kmeansIters: Int = 8,
-    // no longer affects the search (Algorithm 1's line-6 product set is
-    // not applied); kept only because lovobench/Replay.scala passes it
-    topA: Int = 4,
-    rescoreFactor: Int = 20,
-    scanFraction: Double = 0.35,
-    // hnsw variant
-    hnswM: Int = 8,
-    hnswEfConstruction: Int = 64,
-    hnswEfSearch: Int = 64,
-    // encoders
-    summary: SummaryParams = SummaryParams(),
-    rerank: RerankParams = RerankParams(),
-    // retrieval size policy: k = multiplier x expected result count
-    // (paper §VII-A evaluates the top 10x-ground-truth retrieved objects)
-    retrievalMultiplier: Int = 10,
-    indexPartitions: Int = 16) {
-  require(pqSubspaces >= 1, s"pqSubspaces must be at least 1, got $pqSubspaces")
-  require(pqSubdim >= 1, s"pqSubdim must be at least 1, got $pqSubdim")
-  require(pqCentroids >= 1, s"pqCentroids must be at least 1, got $pqCentroids")
-  require(kmeansIters >= 1, s"kmeansIters must be at least 1, got $kmeansIters")
-  require(pqSubspaces * pqSubdim == repro.encoder.SemanticSpace.Dp,
-    s"PQ dims ${pqSubspaces}x$pqSubdim must equal D'=${repro.encoder.SemanticSpace.Dp}")
-  require(rescoreFactor >= 1, "rescoreFactor must be at least 1")
+/** The fixed pipeline constants the benchmark reads (DESIGN.md §6). A
+  * value that a function also uses reads the constant of its module.
+  */
+final case class LovoConfig() {
+  val pqSubspaces: Int = 4 // P x m = D'
+  val pqSubdim: Int = 8
+  val pqCentroids: Int = 32
+  val kmeansIters: Int = KMeans.Iters
+  val topA: Int = AnnSearch.TopA
+  val rescoreFactor: Int = AnnSearch.RescoreFactor
+  val scanFraction: Double = AnnSearch.ScanFraction
+  val hnswM: Int = Hnsw.M
+  val hnswEfConstruction: Int = Hnsw.EfConstruction
+  val hnswEfSearch: Int = Hnsw.EfSearch
+  val summary: SummaryParams = SummaryParams()
+  val rerank: RerankParams = RerankParams()
+  // k = 10 x the expected result count (paper §VII-A's 10x-ground-truth protocol)
+  val retrievalMultiplier: Int = 10
+  val indexPartitions: Int = InvertedMultiIndex.Partitions
 }

@@ -98,11 +98,9 @@ object Harness {
       r.candidates.map(c => Detection(c.frameId, c.score, c.box)), gt)
 
     val c = b.build.counts
-    val lcfg = b.build.cfg
+    val pq = b.build.index.pq
     val indexingSec = variant match {
-      case AnnVariant.IvfPq =>
-        CostModel.indexingIvfPq(c.entries, c.kmeansIters,
-          lcfg.pqSubspaces, lcfg.pqCentroids, lcfg.pqSubdim)
+      case AnnVariant.IvfPq => CostModel.indexingIvfPq(c.entries, c.kmeansIters, pq.P, pq.M, pq.m)
       case AnnVariant.Bf   => CostModel.indexingBf
       case AnnVariant.Hnsw => CostModel.indexingHnsw(b.hnsw._2)
     }

@@ -63,13 +63,18 @@ private[index] final case class ScanPlan(selected: Int, covered: Long, cells: Ar
   */
 object AnnSearch {
 
-  /** @param topA no longer affects the search (the line-6 product set is
-    *             not applied); kept only because `lovobench/Replay.scala`
-    *             passes it.
+  /** Algorithm 1's top-A, which the search does not read (the line-6
+    * product set is not applied; `lovobench/Replay.scala` passes it), the
+    * rescore-depth floor as a multiple of k, and the share of the
+    * collection the selected cells cover.
     */
+  val TopA = 4
+  val RescoreFactor = 20
+  val ScanFraction = 0.35
+
   def search(index: InvertedMultiIndex, q: Array[Float], k: Int,
-             topA: Int = 4, rescoreFactor: Int = 20,
-             scanFraction: Double = 0.35): (Seq[Candidate], AnnStats) = {
+             topA: Int = TopA, rescoreFactor: Int = RescoreFactor,
+             scanFraction: Double = ScanFraction): (Seq[Candidate], AnnStats) = {
     require(k > 0, "k must be positive")
     require(rescoreFactor >= 1, "rescoreFactor must be at least 1")
     val pq = index.pq

@@ -29,8 +29,8 @@ import repro.vit.BBox
   * heaps and result buffers, and `distComps` is a plain counter, so one
   * index must serve one caller at a time.
   */
-final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64,
-                      val seed: Long = 7L) {
+final class HnswIndex(val dim: Int, val M: Int = Hnsw.M,
+                      val efConstruction: Int = Hnsw.EfConstruction, val seed: Long = Hnsw.Seed) {
   private val mL = 1.0 / math.log(M.toDouble)
   private val maxM0 = 2 * M
   private val stride0 = maxM0 + 2   // layer-0 block: count, 2M + 1 slots
@@ -290,7 +290,7 @@ final class HnswIndex(val dim: Int, val M: Int = 8, val efConstruction: Int = 64
   }
 
   /** Top-k maximum-inner-product search; returns hits descending by score. */
-  def search(q: Array[Float], k: Int, ef: Int = 64): Seq[Candidate] = {
+  def search(q: Array[Float], k: Int, ef: Int = Hnsw.EfSearch): Seq[Candidate] = {
     require(q.length == dim, s"expected dim $dim, got ${q.length}")
     require(k > 0, "k must be positive")
     if (entryPoint < 0) return Seq.empty
@@ -380,26 +380,33 @@ private object PairHeap {
 
 object Hnsw {
 
+  /** Links per node (2M on layer 0), the candidate-list sizes of an
+    * insert and of a search (at least k), and the seed of the level draw.
+    */
+  val M = 8
+  val EfConstruction = 64
+  val EfSearch = 64
+  val Seed = 7L
+
   /** Build from the stored index entries in patch-id order (a
     * deterministic insert order), from the posting blocks collected in one
     * narrow scan of the cached entries.
     */
-  def build(index: InvertedMultiIndex, m: Int = 8, efConstruction: Int = 64,
-            seed: Long = 7L): HnswIndex = {
+  def build(index: InvertedMultiIndex, m: Int = M, efConstruction: Int = EfConstruction): HnswIndex = {
     val blocks = index.scan(identity).toSeq
     val pids = Array.concat(blocks.map(_.patchIds): _*)
     val fids = Array.concat(blocks.map(_.frameIds): _*)
     val boxes = Array.concat(blocks.map(_.boxes): _*)
     val embs = Array.concat(blocks.map(_.embs): _*)
     val dim = index.pq.dim
-    val g = new HnswIndex(dim, m, efConstruction, seed)
+    val g = new HnswIndex(dim, m, efConstruction)
     for (j <- pids.indices.sortBy(pids))
       g.add(pids(j), fids(j), BBox.packed(boxes, j), java.util.Arrays.copyOfRange(embs, j * dim, (j + 1) * dim))
     g
   }
 
   /** Search wrapper returning the same stats shape as the other variants. */
-  def search(g: HnswIndex, q: Array[Float], k: Int, ef: Int = 64): (Seq[Candidate], AnnStats) = {
+  def search(g: HnswIndex, q: Array[Float], k: Int, ef: Int = EfSearch): (Seq[Candidate], AnnStats) = {
     val before = g.distComps
     val hits = g.search(q, k, ef)
     val comps = g.distComps - before

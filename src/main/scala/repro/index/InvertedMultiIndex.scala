@@ -99,6 +99,9 @@ final case class InvertedMultiIndex(
 
 object InvertedMultiIndex {
 
+  /** Partitions of the cell-id hash partitioning: at most this many blocks. */
+  val Partitions = 16
+
   /** One posting on its way into a block: cell id, patch id, frame id,
     * box (px, py, pw, ph) and embedding.
     */
@@ -112,7 +115,7 @@ object InvertedMultiIndex {
     * every block and so truncates the lineage without another job.
     */
   def build(patches: Dataset[PatchRec], pq: ProductQuantizer,
-            nPartitions: Int = 16): InvertedMultiIndex = {
+            nPartitions: Int = Partitions): InvertedMultiIndex = {
     val spark = patches.sparkSession
     import spark.implicits._
     val entries = patches

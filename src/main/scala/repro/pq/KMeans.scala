@@ -20,6 +20,10 @@ import repro.util.{Rng, VecOps}
   */
 object KMeans {
 
+  /** Lloyd iterations of a training run, and the initial-centroid seed. */
+  val Iters = 8
+  val Seed = 42L
+
   /** Index of the L2-nearest centroid for an m-dim subvector. */
   def nearest(codebook: Array[Array[Float]], v: Array[Float]): Int = {
     var best = 0; var bestD = Double.MaxValue; var c = 0
@@ -41,7 +45,7 @@ object KMeans {
     * content order, in doubles.
     */
   def trainProduct(vecs: RDD[Array[Float]], P: Int, m: Int, M: Int,
-                   iters: Int = 8, seed: Long = 42L): Array[Array[Array[Float]]] = {
+                   iters: Int = Iters, seed: Long = Seed): Array[Array[Array[Float]]] = {
     require(P >= 1 && m >= 1 && M >= 1, s"P, m and M must be at least 1, got P=$P m=$m M=$M")
     require(iters >= 1, "need at least one Lloyd iteration")
     val dim = P * m

@@ -76,6 +76,6 @@ object ProductQuantizer {
     * on the driver over the collected vectors; `vecs` must not be empty.
     */
   def train(vecs: RDD[Array[Float]], P: Int, m: Int, M: Int,
-            iters: Int = 8, seed: Long = 42L): ProductQuantizer =
-    ProductQuantizer(P, m, M, KMeans.trainProduct(vecs, P, m, M, iters, seed))
+            iters: Int = KMeans.Iters): ProductQuantizer =
+    ProductQuantizer(P, m, M, KMeans.trainProduct(vecs, P, m, M, iters))
 }

@@ -13,7 +13,6 @@ final case class RerankedObject(frameId: Long, objId: Long, score: Double, box: 
 /** Rerank output plus the operation counts the cost model consumes. */
 final case class RerankResult(
     objects: Seq[RerankedObject],
-    frameScores: Seq[(Long, Double)], // frameId -> l_s, descending
     framesProcessed: Int,
     totalImageTokens: Long,
     textTokens: Int)
@@ -84,34 +83,27 @@ object CrossModalRerank {
              parsed: TextEncoder.ParsedQuery, params: RerankParams): RerankResult = {
     val ids = candidateFrames.distinct.toArray.sorted
     if (ids.isEmpty)
-      return RerankResult(Seq.empty, Seq.empty, 0, 0L, parsed.allTokens.size)
+      return RerankResult(Seq.empty, 0, 0L, parsed.allTokens.size)
     val textTokens: Array[Array[Float]] =
       TextEncoder.rerankTokenEmbeddings(parsed).toArray
 
-    val perFrame: Array[(Long, Double, Seq[RerankedObject], Int)] =
+    val perFrame: Array[(Seq[RerankedObject], Int)] =
       FrameBlock.scan(frames) { b =>
         ids.map(b.indexOf).filter(_ >= 0).map { i =>
           val fr = b.frame(i)
-          val (ls, objs) = rerankFrame(fr, textTokens, params)
-          (fr.frameId, ls, objs, fr.objects.size)
+          (rerankFrame(fr, textTokens, params)._2, fr.objects.size)
         }
       }.flatten
 
-    val frameScores = perFrame.map { case (fid, ls, _, _) => (fid, ls) }
-      .sortBy { case (fid, ls) => (-ls, fid) }.toSeq
-    val objects = perFrame.flatMap(_._3)
-      .sortBy(o => (-o.score, o.frameId, o.objId)).toSeq
     RerankResult(
-      objects = objects,
-      frameScores = frameScores,
+      objects = perFrame.flatMap(_._1).sortBy(o => (-o.score, o.frameId, o.objId)).toSeq,
       framesProcessed = perFrame.length,
-      totalImageTokens = perFrame.map(_._4.toLong).sum,
+      totalImageTokens = perFrame.map(_._2.toLong).sum,
       textTokens = textTokens.length)
   }
 
   /** [[rerank]] over uncached blocks of a frames Dataset, packed per call. */
   def rerank(frames: Dataset[FrameRec], candidateFrames: Seq[Long],
-             parsed: TextEncoder.ParsedQuery,
-             params: RerankParams = RerankParams()): RerankResult =
+             parsed: TextEncoder.ParsedQuery, params: RerankParams): RerankResult =
     rerank(FrameBlock.blocks(frames), candidateFrames, parsed, params)
 }

@@ -421,22 +421,9 @@ class LovoSpec extends SparkSpec with PropertyChecks {
     assert(a.candidates == c.candidates)
   }
 
-  test("LovoConfig validates PQ dimensions") {
-    intercept[IllegalArgumentException] { LovoConfig(pqSubspaces = 3) }
-    for ((cfg, named) <- Seq(
-           (() => LovoConfig(pqCentroids = 0), "pqCentroids must be at least 1, got 0"),
-           (() => LovoConfig(pqSubspaces = -4, pqSubdim = -8), "pqSubspaces must be at least 1, got -4"),
-           (() => LovoConfig(pqSubdim = 0), "pqSubdim must be at least 1, got 0"),
-           (() => LovoConfig(pqSubspaces = 32, pqSubdim = 1, kmeansIters = 0),
-             "kmeansIters must be at least 1, got 0"))) {
-      val e = intercept[IllegalArgumentException] { cfg() }
-      assert(e.getMessage.contains(named), e.getMessage)
-    }
-  }
-
-  test("LovoConfig rejects a rescoreFactor below 1") {
-    intercept[IllegalArgumentException] { LovoConfig(rescoreFactor = 0) }
-    assert(LovoConfig(rescoreFactor = 1).rescoreFactor == 1)
+  test("LovoConfig's fixed PQ shape spans D'") {
+    val cfg = LovoConfig()
+    assert(cfg.pqSubspaces * cfg.pqSubdim == repro.encoder.SemanticSpace.Dp)
   }
 
   test("AnnVariant names round-trip") {

@@ -37,7 +37,7 @@ class CostModelSpec extends AnyFunSuite {
 
   test("rerank cost ~0.45 s per candidate frame at typical token counts") {
     // 50 frames x ~6 objects, 5 text tokens
-    val rr = RerankResult(Seq.empty, Seq.empty, framesProcessed = 50,
+    val rr = RerankResult(Seq.empty, framesProcessed = 50,
       totalImageTokens = 300, textTokens = 5)
     val perFrame = CostModel.rerank(rr) / 50
     assert(perFrame > 0.3 && perFrame < 0.7, s"per-frame rerank $perFrame")
@@ -45,7 +45,7 @@ class CostModelSpec extends AnyFunSuite {
 
   test("rerank cost scales with frames and token pairs") {
     def rr(frames: Int, tokens: Long) =
-      RerankResult(Seq.empty, Seq.empty, frames, tokens, 5)
+      RerankResult(Seq.empty, frames, tokens, 5)
     assert(CostModel.rerank(rr(100, 600)) > CostModel.rerank(rr(50, 300)))
     assert(CostModel.rerank(rr(50, 600)) > CostModel.rerank(rr(50, 300)))
   }

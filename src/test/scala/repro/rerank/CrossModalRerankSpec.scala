@@ -63,7 +63,6 @@ class CrossModalRerankSpec extends SparkSpec {
     assert(rr.framesProcessed == someFrames.size)
     assert(rr.textTokens == parsed.tokens.size)
     assert(rr.totalImageTokens > 0)
-    assert(rr.frameScores.map(_._2).sliding(2).forall(w => w.size < 2 || w(0) >= w(1)))
     assert(rr.objects.map(_.score).sliding(2).forall(w => w.size < 2 || w(0) >= w(1)))
     assert(rr.objects.forall(o => someFrames.contains(o.frameId)))
   }
@@ -81,14 +80,12 @@ class CrossModalRerankSpec extends SparkSpec {
     val candidates = keys ++ Seq(keys(1), -7L, keys.head, Long.MaxValue)
     val rr = CrossModalRerank.rerank(b.build.frameBlocks, candidates, parsed, params)
     val perFrame = all.filter(f => candidates.contains(f.frameId)).map { fr =>
-      val (ls, objs) = CrossModalRerank.rerankFrame(fr, textTokens, params)
-      (fr.frameId, ls, objs, fr.objects.size)
+      (CrossModalRerank.rerankFrame(fr, textTokens, params)._2, fr.objects.size)
     }
     val expected = RerankResult(
-      objects = perFrame.flatMap(_._3).sortBy(o => (-o.score, o.frameId, o.objId)).toSeq,
-      frameScores = perFrame.map(f => (f._1, f._2)).sortBy { case (fid, ls) => (-ls, fid) }.toSeq,
+      objects = perFrame.flatMap(_._1).sortBy(o => (-o.score, o.frameId, o.objId)).toSeq,
       framesProcessed = perFrame.length,
-      totalImageTokens = perFrame.map(_._4.toLong).sum,
+      totalImageTokens = perFrame.map(_._2.toLong).sum,
       textTokens = textTokens.length)
     assert(rr == expected)
     assert(rr.framesProcessed == keys.distinct.size, "distinct existing frames")
@@ -116,9 +113,7 @@ class CrossModalRerankSpec extends SparkSpec {
     assert(rr.framesProcessed == 2)
     assert(rr.totalImageTokens == 2L)
     assert(rr.objects.map(_.objId).toSet == Set(21L, 22L))
-    assert(rr.frameScores.map(_._1) == Seq(2L, 1L))
-    assert(rr.frameScores.last._2.isNegInfinity)
-    assert(rr.frameScores.head._2 == CrossModalRerank.rerankFrame(full, textTokens, params)._1)
+    assert(CrossModalRerank.rerankFrame(frame(1L, Seq.empty), textTokens, params)._1.isNegInfinity)
   }
 
   test("rerank is deterministic") {
@@ -126,7 +121,6 @@ class CrossModalRerankSpec extends SparkSpec {
     val fs = b.build.frames.filter(_.isKey).take(4).map(_.frameId).toSeq
     val a = CrossModalRerank.rerank(b.build.frameBlocks, fs, parsed, params)
     val c = CrossModalRerank.rerank(b.build.frameBlocks, fs, parsed, params)
-    assert(a.objects == c.objects)
-    assert(a.frameScores == c.frameScores)
+    assert(a == c)
   }
 }
